@@ -9,10 +9,10 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-# Per-target budget for `make fuzz` (two targets run back to back).
+# Per-target budget for `make fuzz` (three targets run back to back).
 FUZZTIME ?= 30s
 
-.PHONY: all check build test race lint audit fuzz bench bench-engine bench-replay bench-service bench-cluster cover fmt vet docs
+.PHONY: all check build test race lint audit fuzz bench bench-engine bench-service bench-cluster cover fmt vet docs
 
 all: build test
 
@@ -43,17 +43,17 @@ audit:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-# fuzz exercises the two hostile-input surfaces: the compact trace
-# decoder and the fault-spec parser. Seeds live in each package's
-# testdata/fuzz corpus; new findings land there too.
+# fuzz exercises the three hostile-input surfaces: the compact trace
+# decoder, the fault-spec parser and the Prolog parser. Seeds live in
+# each fuzz function and its package's testdata/fuzz corpus; new
+# findings land there too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChunkReader -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaults -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/parse/
 
-# race covers every concurrent subsystem; internal/core and
-# internal/mem run their sharded-execution suites (ExecShards > 1)
-# under the detector here, which is what keeps the speculative
-# dispatcher's cross-goroutine memory accesses honest.
+# race covers every concurrent subsystem: the fan-out replay pipeline,
+# the grid worker pool, the stores, and the service's single-flight.
 race:
 	$(GO) test -race ./internal/core/ ./internal/mem/ ./internal/trace/ ./internal/cache/ ./internal/experiments/ ./internal/tracestore/ ./internal/bench/ ./internal/service/ ./internal/storage/
 
@@ -67,13 +67,6 @@ bench:
 # generation, refs/s and MLIPS) and records BENCH_engine.json.
 bench-engine:
 	sh scripts/bench_engine.sh BENCH_engine.json
-
-# bench-replay runs the intra-cell parallelism benchmarks (set-sharded
-# cache replay vs shard count, pipelined trace generation vs encode
-# workers — both bit-identical to sequential) and records
-# BENCH_replay.json.
-bench-replay:
-	sh scripts/bench_replay.sh BENCH_replay.json
 
 # bench-service runs the serving-layer benchmarks (warm-cache req/s and
 # p50/p99 latency over real HTTP) and records BENCH_service.json.

@@ -33,16 +33,6 @@ func (t *Trace) ReplayAll(cfgs []CacheConfig) ([]CacheStats, error) {
 	return cache.SimulateAll(t.buf, cfgs)
 }
 
-// ReplayAllShards is ReplayAll with intra-configuration parallelism:
-// each set-associative configuration is additionally partitioned
-// across up to shards set-shard workers, with per-shard statistics
-// merged by a deterministic reduction — bit-identical to shards = 1.
-// Fully associative configurations (one global LRU pool) cannot shard
-// and automatically run sequentially; see EffectiveCacheShards.
-func (t *Trace) ReplayAllShards(cfgs []CacheConfig, shards int) ([]CacheStats, error) {
-	return cache.SimulateAllShards(t.buf, cfgs, shards)
-}
-
 // WriteTo serializes the trace in the legacy fixed-record binary
 // format ("RWT1", 8 bytes per reference). Prefer WriteCompact for new
 // files: it is roughly 4× smaller and CRC-protected.
@@ -179,24 +169,4 @@ func SimulateCache(t *Trace, cfg CacheConfig) (CacheStats, error) {
 	sim := cache.New(cfg)
 	t.buf.Replay(sim)
 	return sim.Stats(), nil
-}
-
-// SimulateCacheShards replays a trace through one cache configuration
-// with up to shards set-shard replay workers (see ReplayAllShards);
-// statistics are bit-identical to SimulateCache.
-func SimulateCacheShards(t *Trace, cfg CacheConfig, shards int) (CacheStats, error) {
-	st, err := cache.SimulateAllShards(t.buf, []cache.Config{cfg}, shards)
-	if err != nil {
-		return CacheStats{}, err
-	}
-	return st[0], nil
-}
-
-// EffectiveCacheShards reports how many set-shard workers a
-// configuration can actually use when shards are requested: the
-// request clamped to the configuration's set count, and always 1 for
-// fully associative caches (Assoc = 0), whose single global LRU pool
-// has no disjoint decomposition.
-func EffectiveCacheShards(cfg CacheConfig, shards int) int {
-	return cache.EffectiveShards(cfg, shards)
 }

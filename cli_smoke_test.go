@@ -77,7 +77,6 @@ func asExitError(err error, ee **exec.ExitError) bool {
 }
 
 func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
-	tmp := t.TempDir()
 	for _, tc := range []struct {
 		name     string
 		bin      string
@@ -93,14 +92,6 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 			[]string{"-pes", "0"}, 2, "-pes"},
 		{"cachesim-pes-not-a-number", "cachesim",
 			[]string{"-pes", "abc"}, 2, "-pes"},
-		{"tracegen-negative-shards", "tracegen",
-			[]string{"generate", "-tracedir", tmp, "-shards", "-2"}, 1, "shards"},
-		{"tracegen-negative-exec-shards", "tracegen",
-			[]string{"generate", "-tracedir", tmp, "-exec-shards", "-2"}, 1, "exec-shards"},
-		{"experiments-negative-exec-shards", "experiments",
-			[]string{"-exp", "table1", "-exec-shards", "-3"}, 2, "exec-shards"},
-		{"rapwam-negative-exec-shards", "rapwam",
-			[]string{"-bench", "deriv", "-exec-shards", "-1"}, 1, "exec-shards"},
 		{"tracegen-no-subcommand", "tracegen",
 			nil, 2, "usage"},
 		{"rapwamd-malformed-chaos", "rapwamd",
@@ -128,17 +119,33 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 	}
 }
 
+// TestCLIMachineErrorExitsCleanly pins that a simulated-machine
+// resource error (here nrev-800's heap overflow at 1 PE) is reported
+// as one error line with exit status 1, not as a runtime panic.
+func TestCLIMachineErrorExitsCleanly(t *testing.T) {
+	code, out := runCLI(t, "rapwam", "-bench", "nrev-800", "-p", "1")
+	if code != 1 {
+		t.Fatalf("rapwam -bench nrev-800 -p 1: exit %d, want 1\n%s", code, out)
+	}
+	if !strings.Contains(out, "heap overflow") {
+		t.Fatalf("output does not name the overflow:\n%s", out)
+	}
+	if strings.Contains(out, "goroutine") {
+		t.Fatalf("output carries a stack trace:\n%s", out)
+	}
+}
+
 func TestCLIHelpDocumentsFlags(t *testing.T) {
 	for _, tc := range []struct {
 		bin      string
 		args     []string
 		mentions []string
 	}{
-		{"rapwam", []string{"-h"}, []string{"-bench", "-trace", "-cpuprofile", "-exec-shards"}},
-		{"rapwamd", []string{"-h"}, []string{"-peers", "-self", "-chaos", "-max-computes", "-exec-shards"}},
+		{"rapwam", []string{"-h"}, []string{"-bench", "-trace", "-cpuprofile"}},
+		{"rapwamd", []string{"-h"}, []string{"-peers", "-self", "-chaos", "-max-computes"}},
 		{"tracegen", []string{"-h"}, []string{"generate", "verify"}},
 		{"cachesim", []string{"-h"}, []string{"-sweep", "-pes", "-tracedir"}},
-		{"experiments", []string{"-h"}, []string{"-exp", "-pes", "-shards", "-exec-shards"}},
+		{"experiments", []string{"-h"}, []string{"-exp", "-pes", "-par"}},
 	} {
 		t.Run(tc.bin, func(t *testing.T) {
 			code, out := runCLI(t, tc.bin, tc.args...)

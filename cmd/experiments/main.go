@@ -14,9 +14,7 @@
 // Grid experiments (table3, fig4, mlips, bus, ablations) run on a
 // bounded worker pool over memoized traces, simulating all cache
 // configurations per trace concurrently in a single pass; -par bounds
-// the pool, -shards adds intra-cell parallelism (set-sharded replay
-// and parallel trace encoding, bit-identical results) within the same
-// budget, and -progress reports per-cell completion on stderr.
+// the pool, and -progress reports per-cell completion on stderr.
 //
 // -tracedir DIR attaches a persistent trace store: every emulator run
 // is performed at most once per emulator version, traces stream to
@@ -69,8 +67,6 @@ func main() {
 		cache    = flag.Int("cache", 256, "cache size (words) for mlips/bus")
 		target   = flag.Float64("target", 2, "MLIPS target")
 		par      = cliflag.Par(flag.CommandLine)
-		shards   = cliflag.Shards(flag.CommandLine)
-		execSh   = cliflag.ExecShards(flag.CommandLine)
 		traceDir = flag.String("tracedir", "", "persistent trace store directory (consulted before any emulator run)")
 		progress = flag.Bool("progress", false, "report per-cell progress on stderr")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -80,8 +76,6 @@ func main() {
 	validatePEs("pes", *pes)
 	validatePEs("maxpes", *maxPEs)
 	parN := resolveWorkers("par", *par)
-	shardsN := resolveWorkers("shards", *shards)
-	execN := resolveWorkers("exec-shards", *execSh)
 
 	// Ctrl-C / SIGTERM cancel the experiment context: in-flight grid
 	// cells (including the emulator's instruction loop) abort promptly,
@@ -97,8 +91,6 @@ func main() {
 	defer stop()
 
 	rapwam.SetParallelism(parN)
-	rapwam.SetShards(shardsN)
-	rapwam.SetExecShards(execN)
 	var store *rapwam.TraceStore
 	if *traceDir != "" {
 		s, err := rapwam.SetTraceDir(*traceDir)
@@ -112,8 +104,7 @@ func main() {
 		rapwam.SetProgress(func(msg string) {
 			fmt.Fprintf(os.Stderr, "experiments: %s\n", msg)
 		})
-		fmt.Fprintf(os.Stderr, "experiments: grid parallelism %d, intra-cell shards %d\n",
-			rapwam.Parallelism(), rapwam.Shards())
+		fmt.Fprintf(os.Stderr, "experiments: grid parallelism %d\n", rapwam.Parallelism())
 	}
 	if store != nil {
 		defer func() {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	tracegen generate -tracedir DIR [-bench LIST] [-pes LIST] [-mode auto|par|seq] [-par N] [-shards K] [-v]
+//	tracegen generate -tracedir DIR [-bench LIST] [-pes LIST] [-mode auto|par|seq] [-par N] [-v]
 //	tracegen ls       -tracedir DIR
 //	tracegen inspect  -tracedir DIR | file.rwt2...
 //	tracegen verify   -tracedir DIR [-repair] | file.rwt2...
@@ -76,7 +76,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  tracegen generate -tracedir DIR [-bench LIST] [-pes LIST] [-mode auto|par|seq] [-par N] [-shards K] [-v]
+  tracegen generate -tracedir DIR [-bench LIST] [-pes LIST] [-mode auto|par|seq] [-par N] [-v]
   tracegen ls       -tracedir DIR
   tracegen inspect  -tracedir DIR | file.rwt2...
   tracegen verify   -tracedir DIR [-repair] | file.rwt2...`)
@@ -167,8 +167,6 @@ func cmdGenerate(args []string) {
 		pesList = fs.String("pes", "1,2,4,8", "comma-separated PE counts")
 		mode    = fs.String("mode", "auto", "auto (parallel + 1-PE sequential baseline) | par | seq")
 		par     = cliflag.Par(fs)
-		shards  = cliflag.Shards(fs)
-		execSh  = cliflag.ExecShards(fs)
 		verbose = fs.Bool("v", false, "report each generated cell on stderr")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the generation to this file")
 		memProf = fs.String("memprofile", "", "write a heap profile (after generation) to this file")
@@ -178,14 +176,6 @@ func cmdGenerate(args []string) {
 		usage()
 	}
 	parN, err := cliflag.Resolve("par", *par)
-	if err != nil {
-		fatal(err)
-	}
-	shardsN, err := cliflag.Resolve("shards", *shards)
-	if err != nil {
-		fatal(err)
-	}
-	execN, err := cliflag.Resolve("exec-shards", *execSh)
 	if err != nil {
 		fatal(err)
 	}
@@ -239,8 +229,6 @@ func cmdGenerate(args []string) {
 		fatal(err)
 	}
 	rapwam.SetParallelism(parN)
-	rapwam.SetShards(shardsN)
-	rapwam.SetExecShards(execN)
 	if *verbose {
 		rapwam.SetProgress(func(msg string) {
 			fmt.Fprintf(os.Stderr, "tracegen: %s\n", msg)

@@ -28,34 +28,6 @@ func SetParallelism(n int) { experiments.SetParallelism(n) }
 // Parallelism returns the current experiment worker-pool width.
 func Parallelism() int { return experiments.Parallelism() }
 
-// SetShards configures intra-cell parallelism: how many set-shard
-// workers replay each cache configuration (fully associative
-// configurations still run sequentially — see EffectiveCacheShards)
-// and how many goroutines encode RWT2 chunks during cold trace
-// generation. n <= 0 selects runtime.GOMAXPROCS(0). Results and
-// stored trace bytes are bit-identical at any setting. The grid
-// budget is shared: with parallelism B and shards K at most
-// max(1, B/K) cells run at once.
-func SetShards(n int) { experiments.SetShards(n) }
-
-// Shards returns the current intra-cell parallelism width (default 1).
-func Shards() int { return experiments.Shards() }
-
-// SetExecShards configures sharded emulation: how many host goroutines
-// each engine run uses to speculate independent PEs' cycles in
-// parallel, with a deterministic merge back into the canonical
-// reference order. n <= 0 selects runtime.GOMAXPROCS(0); 1 restores
-// the serial dispatcher. Traces, results and stored bytes are
-// bit-identical at any setting, so warm trace stores stay valid
-// whichever mode wrote them. The experiment grid's worker budget is
-// shared with SetShards: at most max(1, B/max(shards, execShards))
-// cells run at once.
-func SetExecShards(n int) { experiments.SetExecShards(n) }
-
-// ExecShards returns the current emulator execution-shard width
-// (default 1, the serial dispatcher).
-func ExecShards() int { return experiments.ExecShards() }
-
 // SetProgress installs a callback receiving one short line per
 // completed experiment grid cell (nil disables progress reporting).
 // The callback may be invoked from multiple goroutines concurrently.

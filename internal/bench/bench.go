@@ -175,10 +175,6 @@ type RunConfig struct {
 	Sink trace.Sink
 	// Layout overrides worker memory sizes (zero = default).
 	Layout mem.Layout
-	// ExecShards overrides the engine's sharded-execution host-worker
-	// count for this run (0 = use the package default set by
-	// SetExecShards; 1 = force the serial dispatcher).
-	ExecShards int
 }
 
 // Run compiles and executes the benchmark. Every Run is one emulator
@@ -194,16 +190,11 @@ func Run(ctx context.Context, b Benchmark, cfg RunConfig) (*core.Result, error) 
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: %w", b.Name, err)
 	}
-	shards := cfg.ExecShards
-	if shards == 0 {
-		shards = ExecShards()
-	}
 	eng, err := core.New(code, core.Config{
-		PEs:        cfg.PEs,
-		Layout:     cfg.Layout,
-		Sink:       cfg.Sink,
-		Cancel:     ctx.Done(),
-		ExecShards: shards,
+		PEs:    cfg.PEs,
+		Layout: cfg.Layout,
+		Sink:   cfg.Sink,
+		Cancel: ctx.Done(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: %w", b.Name, err)

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -125,4 +126,26 @@ func ExampleRun() {
 	}
 	fmt.Println("A =", res.Bindings["A"])
 	// Output: A = 8
+}
+
+// TestMachineOverflowIsAnError pins that a cell too large for the
+// default 1-PE memory layout fails with an error naming the
+// overflowing area instead of panicking out of the engine.
+func TestMachineOverflowIsAnError(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"nrev-800", "heap overflow"},
+		{"primes-20000", "control stack overflow"},
+		{"qsort-10000", "trail overflow"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, ok := ByName(tc.name)
+			if !ok {
+				t.Fatalf("ByName(%q) failed", tc.name)
+			}
+			_, err := Run(context.Background(), b, RunConfig{PEs: 1})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run(%s@1PE) error = %v, want one naming %q", tc.name, err, tc.want)
+			}
+		})
+	}
 }

@@ -12,7 +12,6 @@ package bench
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -60,59 +59,6 @@ func SetTraceStore(s *tracestore.Store) {
 
 // TraceStore returns the attached persistent trace store (nil if none).
 func TraceStore() *tracestore.Store { return traceStoreP.Load() }
-
-// genWorkers is the configured trace-encode worker count for cold
-// generation (0 = unset, meaning 1: the fully synchronous encoder).
-var genWorkers atomic.Int64
-
-// SetGenWorkers configures how many goroutines encode RWT2 chunks
-// during cold trace generation (EnsureStored): n > 1 pipelines
-// emulate→encode→write with n encode workers, n = 1 restores the
-// synchronous encoder, and n <= 0 selects GOMAXPROCS. The stored bytes
-// are identical at every setting (trace.ParallelChunkWriter), so the
-// golden hashes and content addresses never move.
-func SetGenWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	genWorkers.Store(int64(n))
-}
-
-// GenWorkers returns the configured generation encode worker count
-// (default 1).
-func GenWorkers() int {
-	if n := int(genWorkers.Load()); n > 0 {
-		return n
-	}
-	return 1
-}
-
-// execShards is the configured emulator sharded-execution host-worker
-// count (0 = unset, meaning 1: the serial dispatcher).
-var execShards atomic.Int64
-
-// SetExecShards configures how many host goroutines the emulator uses
-// to speculate independent PEs' cycles in parallel (core.Config
-// ExecShards): n > 1 enables sharded execution for multi-PE parallel
-// runs, n = 1 restores the serial dispatcher, and n <= 0 selects
-// GOMAXPROCS. The emitted trace is byte-identical at every setting
-// (the merge replays the canonical reference order), so the golden
-// hashes and content addresses never move.
-func SetExecShards(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	execShards.Store(int64(n))
-}
-
-// ExecShards returns the configured sharded-execution host-worker
-// count (default 1).
-func ExecShards() int {
-	if n := int(execShards.Load()); n > 0 {
-		return n
-	}
-	return 1
-}
 
 // StoreKey returns the trace-store key for a benchmark cell under the
 // current emulator version.
@@ -194,7 +140,7 @@ func generateCell(ctx context.Context, s *tracestore.Store, k tracestore.Key, b 
 		return nil
 	}
 	var res *core.Result
-	err := s.PutWorkers(k, GenWorkers(), func(sink trace.Sink) error {
+	err := s.Put(k, func(sink trace.Sink) error {
 		r, err := Run(ctx, b, RunConfig{PEs: pes, Sequential: sequential, Sink: sink})
 		res = r
 		return err

@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -139,6 +140,78 @@ func TestGoldenParityAgainstReferenceSim(t *testing.T) {
 					for i := range gotEvents {
 						if gotEvents[i] != wantEvents[i] {
 							t.Fatalf("OnBus event %d: got %+v, want %+v", i, gotEvents[i], wantEvents[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// shardCounts is the matrix of contiguous pieces a trace is cut into
+// for replay. 7 deliberately does not divide the trace lengths evenly,
+// so piece boundaries land at arbitrary points in the stream.
+func shardCounts() []int {
+	counts := []int{1, 2, 7}
+	if n := runtime.NumCPU(); n > 1 {
+		counts = append(counts, n)
+	}
+	return counts
+}
+
+// runSharded replays buf through one simulator as k contiguous
+// batches, the way a chunked store decode delivers a trace.
+func runSharded(buf *trace.Buffer, cfg Config, k int) (Stats, []int64, []int64) {
+	s := New(cfg)
+	refs := buf.Refs
+	for i := 0; i < k; i++ {
+		lo, hi := len(refs)*i/k, len(refs)*(i+1)/k
+		s.AddBatch(refs[lo:hi])
+	}
+	return s.Stats(), s.PerPEBusWords(), s.PerPERefs()
+}
+
+// TestShardedReplayDeterminism checks replay is a pure function of the
+// reference order: cutting the trace into k contiguous batches, for
+// every k in shardCounts, and replaying every configuration of a
+// protocol concurrently through SimulateAll's fan-out both give Stats,
+// per-PE bus words and per-PE reference vectors bit-identical to one
+// batch through one simulator, which is itself pinned to refsim.
+func TestShardedReplayDeterminism(t *testing.T) {
+	for _, benchName := range []string{"deriv", "qsort"} {
+		for _, p := range Protocols() {
+			pes, sequential := 4, false
+			if p == Copyback {
+				pes, sequential = 1, true
+			}
+			buf := parityTrace(t, benchName, pes, sequential)
+			cfgs := parityConfigs(p, pes)
+			fanOut, err := SimulateAll(buf, cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cfg := range cfgs {
+				i, cfg := i, cfg
+				name := fmt.Sprintf("%s/%v/wa=%v/assoc=%d", benchName, p, cfg.WriteAllocate, cfg.Assoc)
+				t.Run(name, func(t *testing.T) {
+					wantStats, wantBus, wantRefs, _ := runNew(buf, cfg, false)
+					refStats, refBus, refRefs, _ := runRef(buf, cfg, false)
+					if wantStats != refStats || !eqVec(wantBus, refBus) || !eqVec(wantRefs, refRefs) {
+						t.Fatalf("batch kernel disagrees with refsim; parity suite should have caught this")
+					}
+					if fanOut[i] != wantStats {
+						t.Errorf("SimulateAll stats differ:\n got %+v\nwant %+v", fanOut[i], wantStats)
+					}
+					for _, k := range shardCounts() {
+						gotStats, gotBus, gotRefs := runSharded(buf, cfg, k)
+						if gotStats != wantStats {
+							t.Errorf("%d batches: stats differ:\n got %+v\nwant %+v", k, gotStats, wantStats)
+						}
+						if !eqVec(gotBus, wantBus) {
+							t.Errorf("%d batches: per-PE bus differ:\n got %v\nwant %v", k, gotBus, wantBus)
+						}
+						if !eqVec(gotRefs, wantRefs) {
+							t.Errorf("%d batches: per-PE refs differ:\n got %v\nwant %v", k, gotRefs, wantRefs)
 						}
 					}
 				})

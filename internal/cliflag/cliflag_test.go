@@ -14,7 +14,7 @@ func TestResolve(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "-par -1") {
 		t.Fatalf("Resolve(-1): error %q does not name the flag and value", err)
 	}
-	if n, err := Resolve("shards", 0); err != nil || n != runtime.GOMAXPROCS(0) {
+	if n, err := Resolve("par", 0); err != nil || n != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Resolve(0) = %d, %v; want GOMAXPROCS=%d", n, err, runtime.GOMAXPROCS(0))
 	}
 	if n, err := Resolve("par", 7); err != nil || n != 7 {
@@ -22,74 +22,47 @@ func TestResolve(t *testing.T) {
 	}
 }
 
-// TestRegistration pins the shared flag names, defaults and help text:
-// every command registering through this package presents identical
-// -par and -shards flags.
+// TestRegistration pins the shared flag name, default and help text:
+// every command registering through this package presents an identical
+// -par flag.
 func TestRegistration(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	par := Par(fs)
-	shards := Shards(fs)
 	if *par != 0 {
 		t.Errorf("-par default = %d, want 0 (GOMAXPROCS)", *par)
-	}
-	if *shards != 1 {
-		t.Errorf("-shards default = %d, want 1 (sequential)", *shards)
 	}
 	if f := fs.Lookup("par"); f == nil || f.Usage != ParHelp {
 		t.Errorf("-par help text not the shared ParHelp")
 	}
-	if f := fs.Lookup("shards"); f == nil || f.Usage != ShardsHelp {
-		t.Errorf("-shards help text not the shared ShardsHelp")
-	}
-	if err := fs.Parse([]string{"-par", "3", "-shards", "2"}); err != nil {
+	if err := fs.Parse([]string{"-par", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	if *par != 3 || *shards != 2 {
-		t.Fatalf("parsed (par, shards) = (%d, %d), want (3, 2)", *par, *shards)
+	if *par != 3 {
+		t.Fatalf("parsed -par = %d, want 3", *par)
 	}
 }
 
-// TestResolveErrorPaths pins the rejection surface for every flag name
-// that routes through Resolve: any negative count fails, the error
-// names the exact flag and value the user typed (so the message is
-// actionable from any of the four commands), the zero value comes back
-// with the error, and the 0 = GOMAXPROCS convention is restated.
+// TestResolveErrorPaths pins the rejection surface of Resolve: any
+// negative count fails, the error names the exact flag and value the
+// user typed (so the message is actionable from any of the four
+// commands), the zero value comes back with the error, and the
+// 0 = GOMAXPROCS convention is restated.
 func TestResolveErrorPaths(t *testing.T) {
-	for _, name := range []string{"par", "shards", "exec-shards"} {
-		for _, n := range []int{-1, -7, -1 << 30} {
-			got, err := Resolve(name, n)
-			if err == nil {
-				t.Errorf("Resolve(%q, %d): want error, got %d", name, n, got)
-				continue
-			}
-			if got != 0 {
-				t.Errorf("Resolve(%q, %d) = %d with error, want 0", name, n, got)
-			}
-			if want := fmt.Sprintf("-%s %d", name, n); !strings.Contains(err.Error(), want) {
-				t.Errorf("Resolve(%q, %d) error %q does not contain %q", name, n, err, want)
-			}
-			if !strings.Contains(err.Error(), "GOMAXPROCS") {
-				t.Errorf("Resolve(%q, %d) error %q does not restate the 0 = GOMAXPROCS convention", name, n, err)
-			}
+	const name = "par"
+	for _, n := range []int{-1, -7, -1 << 30} {
+		got, err := Resolve(name, n)
+		if err == nil {
+			t.Errorf("Resolve(%q, %d): want error, got %d", name, n, got)
+			continue
 		}
-	}
-}
-
-// TestExecShardsRegistration pins -exec-shards like TestRegistration
-// pins -par and -shards: serial default, shared help text.
-func TestExecShardsRegistration(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	es := ExecShards(fs)
-	if *es != 1 {
-		t.Errorf("-exec-shards default = %d, want 1 (serial dispatcher)", *es)
-	}
-	if f := fs.Lookup("exec-shards"); f == nil || f.Usage != ExecShardsHelp {
-		t.Errorf("-exec-shards help text not the shared ExecShardsHelp")
-	}
-	if err := fs.Parse([]string{"-exec-shards", "4"}); err != nil {
-		t.Fatal(err)
-	}
-	if *es != 4 {
-		t.Fatalf("parsed -exec-shards = %d, want 4", *es)
+		if got != 0 {
+			t.Errorf("Resolve(%q, %d) = %d with error, want 0", name, n, got)
+		}
+		if want := fmt.Sprintf("-%s %d", name, n); !strings.Contains(err.Error(), want) {
+			t.Errorf("Resolve(%q, %d) error %q does not contain %q", name, n, err, want)
+		}
+		if !strings.Contains(err.Error(), "GOMAXPROCS") {
+			t.Errorf("Resolve(%q, %d) error %q does not restate the 0 = GOMAXPROCS convention", name, n, err)
+		}
 	}
 }

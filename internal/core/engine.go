@@ -58,22 +58,6 @@ type Config struct {
 	// StealInterval is the number of idle cycles between steal probes
 	// (default 4).
 	StealInterval int
-	// ExecShards sets the host-goroutine budget for the sharded
-	// execution mode: when > 1 (and PEs > 1, and ReferenceDispatch is
-	// off), stretches where several simulated PEs run straight-line
-	// code are executed speculatively in parallel — one goroutine per
-	// host shard, each driving a subset of the runnable PEs — and the
-	// per-PE reference batches are merged back in the reference
-	// round-robin's canonical (cycle, PE) order, so the emitted trace
-	// and statistics are byte- and value-identical to runMulti's (the
-	// golden digests pin this at several shard counts with no
-	// EmulatorVersion bump). Soundness rests on the machine's own
-	// independence model: goals of a parallel conjunction never share
-	// unbound variables (what CGE conditions guarantee), hence
-	// concurrently speculating PEs touch disjoint words. Programs
-	// violating that model must use ExecShards <= 1 (the default) or
-	// ReferenceDispatch. 0 or 1 disables sharded execution.
-	ExecShards int
 	// ReferenceDispatch forces the plain one-instruction-per-tick
 	// round-robin scheduler with every poll and steal sweep executed
 	// for real (no quantum dispatch, no inert-poll elision). The
@@ -208,21 +192,6 @@ type Engine struct {
 	stealProbes   int64
 	kills         int64
 
-	// Sharded execution state (Config.ExecShards > 1; see sharded.go).
-	// execShards is the effective host-worker budget (0 = mode off);
-	// shards holds one reusable speculation context per PE; epochHold
-	// forces serial cycles after an epoch that made no parallel
-	// progress or was discarded on a cross-shard conflict; specMark is
-	// the per-word mark array of the commit-time footprint check; and
-	// scratch absorbs the discarded emissions of snapshot replays.
-	execShards     int
-	shards         []shardCtx
-	parts          []*shardCtx
-	epochHold      int
-	conflictStreak int
-	specMark       []uint8
-	scratch        mem.ShardStage
-
 	// debug enables a per-cycle execution trace on stdout (tests only).
 	debug bool
 }
@@ -254,15 +223,6 @@ func New(code *isa.Code, cfg Config) (*Engine, error) {
 	for pe := 0; pe < cfg.PEs; pe++ {
 		e.workers = append(e.workers, newWorker(e, pe))
 	}
-	// Sharded execution needs several PEs to overlap and is pointless
-	// (and undefined) under the reference scheduler.
-	if cfg.ExecShards > 1 && cfg.PEs > 1 && !cfg.ReferenceDispatch {
-		e.execShards = cfg.ExecShards
-		if e.execShards > cfg.PEs {
-			e.execShards = cfg.PEs
-		}
-		e.shards = make([]shardCtx, cfg.PEs)
-	}
 	return e, nil
 }
 
@@ -277,32 +237,36 @@ func (e *Engine) Memory() *mem.Memory { return e.mem }
 func (e *Engine) Close() { e.mem.Release() }
 
 // Run executes the query to the first solution (or failure).
-func (e *Engine) Run() (*Result, error) {
+//
+// Machine errors (simulated-memory overflows, bad code addresses) are
+// returned as errors; the references emitted before the fault are
+// delivered to the sink first, as for a cancelled or runaway run.
+func (e *Engine) Run() (res *Result, err error) {
 	w0 := e.workers[0]
 	w0.pc = e.code.QueryEntry
 	w0.cp = cpQueryDone
 	w0.setState(StateRun)
 
-	// Machine errors (overflows, bad code addresses) surface as panics
+	// Machine errors surface inside the dispatch loops as panics
 	// carrying execution context. The recover lives here — once per
-	// run — instead of in a per-instruction defer on the hot path.
+	// run — instead of in a per-instruction defer on the hot path. Any
+	// other panic is a bug and propagates.
 	defer func() {
 		if r := recover(); r != nil {
-			if me, ok := r.(machineError); ok {
-				panic(fmt.Errorf("cycle %d pc %d: %s", e.cycle, me.pc, me.msg))
+			me, ok := r.(machineError)
+			if !ok {
+				panic(r)
 			}
-			panic(r)
+			e.mem.Flush()
+			res, err = nil, fmt.Errorf("core: cycle %d pc %d: %s", e.cycle, me.pc, me.msg)
 		}
 	}()
 
-	var err error
 	switch {
 	case e.cfg.ReferenceDispatch:
 		err = e.runReference()
 	case e.cfg.PEs == 1:
 		err = e.runSingle()
-	case e.execShards > 1:
-		err = e.runSharded()
 	default:
 		err = e.runMulti()
 	}
@@ -311,7 +275,7 @@ func (e *Engine) Run() (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{
+	res = &Result{
 		Success: e.success,
 		Output:  e.out.String(),
 		Refs:    e.mem.Counter(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/compile"
@@ -715,10 +716,8 @@ func TestHeapOverflowReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if r := recover(); r == nil {
-			t.Error("heap overflow not reported")
-		}
-	}()
-	_, _ = eng.Run()
+	_, err = eng.Run()
+	if err == nil || !strings.Contains(err.Error(), "heap overflow") {
+		t.Errorf("Run error = %v, want a heap overflow error", err)
+	}
 }

@@ -68,15 +68,6 @@ type worker struct {
 	waitSeq   uint64
 	idleInert bool
 	idleSeq   uint64
-
-	// spec is set while this worker executes speculatively on a shard
-	// goroutine (Engine.runEpoch). Speculation may only take pure
-	// straight-line steps; the risky-opcode screen in specRun keeps it
-	// on that path statically, and the guards in fail, noteSchedEvent
-	// and setState abort it dynamically (panic(errSpecUnsafe)) should
-	// an impure step slip through, rolling the worker back to its last
-	// completed cycle for exact serial re-execution.
-	spec bool
 }
 
 const (
@@ -270,9 +261,6 @@ func (w *worker) tick() {
 // dispatcher and the inert-poll elision both rely on the sequence to
 // know when a skipped poll could have changed outcome.
 func (w *worker) noteSchedEvent() {
-	if w.spec {
-		panic(errSpecUnsafe)
-	}
 	w.eng.schedSeq++
 }
 
@@ -280,9 +268,6 @@ func (w *worker) noteSchedEvent() {
 // engine's count of running workers (the quantum dispatcher's cheap
 // eligibility pre-check). Every state change goes through here.
 func (w *worker) setState(s WorkerState) {
-	if w.spec {
-		panic(errSpecUnsafe)
-	}
 	if w.state == StateRun {
 		w.eng.nRun--
 	}

@@ -59,69 +59,6 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// intraShards is the configured intra-cell width (0 = unset, meaning
-// 1: every cell fully sequential, the historical behavior).
-var intraShards atomic.Int64
-
-// SetShards configures intra-cell parallelism: how many set-shard
-// workers replay a single cache configuration (cache.SimulateAllShards
-// — fully associative configurations still clamp to 1), and how many
-// goroutines encode RWT2 chunks during cold trace generation
-// (bench.SetGenWorkers). n <= 0 selects GOMAXPROCS. Results are
-// bit-identical at every setting.
-//
-// The grid's worker budget is shared, not multiplied: with parallelism
-// B and shards K, runGrid runs at most max(1, B/K) cells at once, so
-// B bounds total concurrency whether it is spent across cells (warm
-// sweeps, many small configs) or inside one (a cold single-experiment
-// request on an otherwise idle host).
-func SetShards(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	intraShards.Store(int64(n))
-	bench.SetGenWorkers(n)
-}
-
-// Shards returns the current intra-cell parallelism width (default 1).
-func Shards() int {
-	if n := int(intraShards.Load()); n > 0 {
-		return n
-	}
-	return 1
-}
-
-// execShards is the configured emulator execution-shard width (0 =
-// unset, meaning 1: the serial dispatcher).
-var execShards atomic.Int64
-
-// SetExecShards configures how many host goroutines the emulator uses
-// inside one engine run to speculate independent PEs' cycles in
-// parallel (bench.SetExecShards → core.Config.ExecShards). n <= 0
-// selects GOMAXPROCS. The emitted traces — and therefore every result
-// and stored byte — are identical at any setting.
-//
-// Like Shards, the width spends the shared grid budget: runGrid
-// divides the cell pool by the larger of the two intra-cell widths, so
-// SetParallelism(B) bounds total concurrency whether it is spent
-// across cells or inside one.
-func SetExecShards(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	execShards.Store(int64(n))
-	bench.SetExecShards(n)
-}
-
-// ExecShards returns the current emulator execution-shard width
-// (default 1).
-func ExecShards() int {
-	if n := int(execShards.Load()); n > 0 {
-		return n
-	}
-	return 1
-}
-
 // progressFn gives the stored callback a fixed concrete type so
 // atomic.Value accepts nil installs.
 type progressFn func(msg string)
@@ -152,17 +89,6 @@ func progress(format string, args ...any) {
 // to their own result slots.
 func runGrid(ctx context.Context, n int, fn func(i int) error) error {
 	workers := Parallelism()
-	// Intra-cell shards spend the same global budget: B workers ÷ K
-	// shards per cell ≈ B goroutines doing real work either way. Cache
-	// replay shards and emulator execution shards are phases of one
-	// cell, never concurrent with each other, so the divisor is their
-	// maximum, not their product.
-	if k := max(Shards(), ExecShards()); k > 1 {
-		workers /= k
-		if workers < 1 {
-			workers = 1
-		}
-	}
 	if workers > n {
 		workers = n
 	}
@@ -422,13 +348,11 @@ func GenerateTraces(ctx context.Context, targets []TraceTarget) error {
 
 // simulateAll replays one memoized trace through all configurations in
 // a single fan-out pass and returns per-configuration statistics. With
-// a store attached the pass streams from disk. Each configuration is
-// additionally set-sharded across Shards() workers when its geometry
-// allows (bit-identical either way).
+// a store attached the pass streams from disk.
 //
 // Store failures heal here, not inside replayCell, because a mid-stream
 // failure leaves the simulators partially fed: each retry calls
-// SimulateAllStreamShards again so every attempt gets fresh simulator
+// SimulateAllStream again so every attempt gets fresh simulator
 // state. A corrupt stored trace quarantines on the failing read and the
 // retry regenerates it; if the store keeps failing, the cell degrades
 // to a direct in-memory run (marking the context degraded) — identical
@@ -439,14 +363,14 @@ func simulateAll(ctx context.Context, b bench.Benchmark, pes int, sequential boo
 		if err != nil {
 			return nil, err
 		}
-		return cache.SimulateAllShards(buf, cfgs, Shards())
+		return cache.SimulateAll(buf, cfgs)
 	}
 	var lastErr error
 	for attempt := 0; attempt < storeHealAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		st, err := cache.SimulateAllStreamShards(cfgs, Shards(), func(sinks []trace.Sink) error {
+		st, err := cache.SimulateAllStream(cfgs, func(sinks []trace.Sink) error {
 			return replayCell(ctx, b, pes, sequential, sinks...)
 		})
 		if err == nil {
@@ -466,7 +390,7 @@ func simulateAll(ctx context.Context, b bench.Benchmark, pes int, sequential boo
 	if err != nil {
 		return nil, err
 	}
-	return cache.SimulateAllShards(buf, cfgs, Shards())
+	return cache.SimulateAll(buf, cfgs)
 }
 
 // protocolRatios computes each benchmark's write-in broadcast traffic

@@ -117,8 +117,16 @@ func floatParam(q url.Values, name string, def float64) (float64, error) {
 	return f, nil
 }
 
+// maxListLen caps the number of values a list-valued parameter may
+// hold, so one request cannot ask for an unbounded number of grid
+// cells. It admits every PE count (trace.MaxPEs of them) and is far
+// above every default list (fig4's 8 sizes, fig2's at most 18 PE
+// counts).
+const maxListLen = trace.MaxPEs
+
 // intListParam parses q[name] as a comma-separated ascending-sorted
-// deduplicated integer list in [lo, hi], defaulting when absent.
+// deduplicated integer list in [lo, hi] of at most maxListLen values,
+// defaulting when absent.
 func intListParam(q url.Values, name string, def []int, lo, hi int) ([]int, error) {
 	s := q.Get(name)
 	if s == "" {
@@ -126,10 +134,14 @@ func intListParam(q url.Values, name string, def []int, lo, hi int) ([]int, erro
 	}
 	seen := make(map[int]bool)
 	var out []int
+	n := 0
 	for _, tok := range strings.Split(s, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
 			continue
+		}
+		if n++; n > maxListLen {
+			return nil, fmt.Errorf("parameter %s: more than %d values", name, maxListLen)
 		}
 		n, err := strconv.Atoi(tok)
 		if err != nil || n < lo || n > hi {

@@ -37,18 +37,6 @@ type Config struct {
 	// Parallelism bounds the experiments grid worker pool (0 keeps the
 	// current setting).
 	Parallelism int
-	// Shards sets intra-cell parallelism — set-shard replay workers
-	// per cache configuration and trace-generation encode workers —
-	// within the grid's shared budget (0 keeps the current setting,
-	// negative selects GOMAXPROCS). Results are bit-identical at any
-	// setting.
-	Shards int
-	// ExecShards sets sharded emulation — host goroutines speculating
-	// independent PEs' cycles inside each engine run — within the same
-	// shared grid budget (0 keeps the current setting, negative
-	// selects GOMAXPROCS, 1 is the serial dispatcher). Traces and
-	// results are bit-identical at any setting.
-	ExecShards int
 	// MaxComputes caps concurrent experiment computations (flights);
 	// 0 means unlimited. Cache hits are never throttled.
 	MaxComputes int
@@ -195,12 +183,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Parallelism != 0 {
 		experiments.SetParallelism(cfg.Parallelism)
 	}
-	if cfg.Shards != 0 {
-		experiments.SetShards(cfg.Shards)
-	}
-	if cfg.ExecShards != 0 {
-		experiments.SetExecShards(cfg.ExecShards)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -341,8 +323,6 @@ type statsBody struct {
 	EmulatorVersion string            `json:"emulator_version"`
 	CodecVersion    int               `json:"codec_version"`
 	Parallelism     int               `json:"parallelism"`
-	Shards          int               `json:"shards"`
-	ExecShards      int               `json:"exec_shards"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -360,8 +340,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		EmulatorVersion: core.EmulatorVersion,
 		CodecVersion:    trace.CodecVersion,
 		Parallelism:     experiments.Parallelism(),
-		Shards:          experiments.Shards(),
-		ExecShards:      experiments.ExecShards(),
 	}
 	if s.store != nil {
 		st := s.store.Stats()

@@ -12,6 +12,8 @@ import (
 	"net/url"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -238,6 +240,10 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/experiments/fig2?maxpes=999", http.StatusBadRequest},
 		{"/v1/experiments/fig4?sizes=abc", http.StatusBadRequest},
 		{"/v1/experiments/fig4?pes=1x", http.StatusBadRequest},
+		{"/v1/experiments/fig4?sizes=" + intList(1, maxListLen+1), http.StatusBadRequest},
+		{"/v1/experiments/fig4?sizes=" + strings.Repeat("64,", maxListLen) + "64", http.StatusBadRequest},
+		{"/v1/experiments/fig4?pes=" + strings.Repeat("1,", maxListLen) + "1", http.StatusBadRequest},
+		{"/v1/experiments/fig2?pes=" + strings.Repeat("2,", maxListLen) + "2", http.StatusBadRequest},
 		{"/v1/experiments/table1?format=xml", http.StatusBadRequest},
 		{"/v1/experiments/bus?desbench=nope", http.StatusBadRequest},
 		{"/v1/experiments/mlips?target=-1", http.StatusBadRequest},
@@ -255,6 +261,43 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("GET %s: error body %q not a JSON error", tc.path, w.Body.String())
 		}
 	}
+	// An over-long list is rejected by name, not by some later bound;
+	// a list of exactly maxListLen values is accepted.
+	w := get(t, h, "/v1/experiments/fig4?sizes="+intList(1, maxListLen+1))
+	if !strings.Contains(w.Body.String(), "parameter sizes: more than") {
+		t.Errorf("over-long sizes list: error body %q does not name sizes", w.Body.String())
+	}
+	q := url.Values{"pes": {intList(1, maxListLen)}, "sizes": {intList(1, maxListLen)}}
+	if _, _, err := registryMust(t, "fig4").prepare(q); err != nil {
+		t.Errorf("fig4 with %d pes and sizes: %v", maxListLen, err)
+	}
+}
+
+// intList renders the integers lo..hi as a comma-separated list.
+func intList(lo, hi int) string {
+	parts := make([]string, 0, hi-lo+1)
+	for n := lo; n <= hi; n++ {
+		parts = append(parts, strconv.Itoa(n))
+	}
+	return strings.Join(parts, ",")
+}
+
+// TestMachineErrorIsAnErrorResponse pins that a cell whose engine run
+// overflows simulated memory (nrev-1000's heap) fails its request
+// with an error status instead of crashing the daemon, and that the
+// same server keeps answering afterwards.
+func TestMachineErrorIsAnErrorResponse(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	w := get(t, h, "/v1/experiments/bus?pes=2&cache=64&desbench=nrev-1000")
+	if w.Code < 400 {
+		t.Fatalf("desbench=nrev-1000: status %d, want an error status (%s)", w.Code, w.Body.String())
+	}
+	if !bytes.Contains(w.Body.Bytes(), []byte("heap overflow")) {
+		t.Errorf("error body does not name the overflow: %s", w.Body.String())
+	}
+	getOK(t, h, "/v1/experiments/table1")
+	getOK(t, h, "/v1/stats")
 }
 
 func TestTraceEndpoints(t *testing.T) {

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -61,6 +63,70 @@ func encodeCompact(t *testing.T, refs []Ref, meta Meta) []byte {
 		t.Fatalf("Close: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// encodeDelivered encodes refs with one ChunkWriter, delivering them
+// one at a time (batch <= 0) or in AddBatch slices of batch refs.
+func encodeDelivered(refs []Ref, meta Meta, batch int) ([]byte, error) {
+	var buf bytes.Buffer
+	cw, err := NewChunkWriter(&buf, meta)
+	if err != nil {
+		return nil, err
+	}
+	if batch <= 0 {
+		for _, r := range refs {
+			cw.Add(r)
+		}
+	} else {
+		for len(refs) > 0 {
+			n := min(batch, len(refs))
+			cw.AddBatch(refs[:n])
+			refs = refs[n:]
+		}
+	}
+	if err := cw.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// TestParallelChunkWriterByteParity checks the encoder's bytes depend on
+// the reference stream alone: for stream lengths around the chunk
+// boundary, `workers` ChunkWriters encoding the same stream at once
+// (as the grid's cell pool does) with any delivery granularity each
+// produce exactly the bytes of a single AddBatch encode.
+func TestParallelChunkWriterByteParity(t *testing.T) {
+	meta := Meta{Benchmark: "synth", PEs: 8, EmulatorVersion: "test"}
+	sizes := []int{0, 1, 100, codecChunkRefs - 1, codecChunkRefs, codecChunkRefs + 1, 3*codecChunkRefs + 17}
+	for _, n := range sizes {
+		refs := synthTrace(n, meta.PEs)
+		want := encodeCompact(t, refs, meta)
+		for _, workers := range []int{1, 2, 4} {
+			for _, batch := range []int{0, 1000, codecChunkRefs, 65536} {
+				t.Run(fmt.Sprintf("n=%d/workers=%d/batch=%d", n, workers, batch), func(t *testing.T) {
+					got := make([][]byte, workers)
+					errs := make([]error, workers)
+					var wg sync.WaitGroup
+					for w := 0; w < workers; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							got[w], errs[w] = encodeDelivered(refs, meta, batch)
+						}(w)
+					}
+					wg.Wait()
+					for w := range got {
+						if errs[w] != nil {
+							t.Fatalf("writer %d: %v", w, errs[w])
+						}
+						if !bytes.Equal(got[w], want) {
+							t.Fatalf("writer %d: bytes differ from a single AddBatch encode: got %d bytes, want %d", w, len(got[w]), len(want))
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestCompactRoundTrip(t *testing.T) {

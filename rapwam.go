@@ -146,11 +146,6 @@ type RunConfig struct {
 	// HeapWords overrides the per-worker heap size (0 = default);
 	// other areas scale with the defaults in internal/mem.
 	HeapWords int
-	// ExecShards sets how many host goroutines the emulator may use to
-	// speculate independent PEs' cycles in parallel (0 or 1 = the
-	// serial dispatcher). The emitted trace and every result field are
-	// identical at any setting; only wall-clock time changes.
-	ExecShards int
 }
 
 // Result is the outcome of running a Program.
@@ -194,11 +189,10 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 		}
 	}
 	eng, err := core.New(p.code, core.Config{
-		PEs:        pes,
-		Layout:     layout,
-		Sink:       sink,
-		MaxCycles:  cfg.MaxCycles,
-		ExecShards: cfg.ExecShards,
+		PEs:       pes,
+		Layout:    layout,
+		Sink:      sink,
+		MaxCycles: cfg.MaxCycles,
 	})
 	if err != nil {
 		return nil, err

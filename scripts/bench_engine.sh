@@ -1,7 +1,6 @@
 #!/bin/sh
 # bench_engine.sh — run the emulator benchmarks (bare engine and cold
-# trace generation, refs/s and MLIPS on deriv+qsort at 1/4/8 PEs, the
-# sharded dispatcher at 1/2/4 execution shards on the 8-PE cells, plus
+# trace generation, refs/s and MLIPS on deriv+qsort at 1/4/8 PEs, plus
 # the steady-state reference-path allocation check) and record the
 # result as BENCH_engine.json, so the emulator's performance trajectory
 # is captured per PR next to the cache-replay numbers.
@@ -13,9 +12,7 @@ set -eu
 
 out="${1:-BENCH_engine.json}"
 count="${BENCH_COUNT:-1}"
-# (BenchmarkTraceGeneration is anchored: the TraceGenerationWorkers
-# scaling benchmark belongs to scripts/bench_replay.sh.)
-filter="${BENCH_FILTER:-BenchmarkEngineRun|BenchmarkTraceGeneration$}"
+filter="${BENCH_FILTER:-BenchmarkEngineRun|BenchmarkTraceGeneration}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 

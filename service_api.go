@@ -37,18 +37,6 @@ type ServeConfig struct {
 	// Parallelism bounds the experiments grid worker pool (0 keeps the
 	// current setting).
 	Parallelism int
-	// Shards sets intra-cell parallelism — set-shard replay workers
-	// per cache configuration and trace-generation encode workers —
-	// within the grid's shared worker budget (0 keeps the current
-	// setting, negative selects GOMAXPROCS). Results are bit-identical
-	// at any setting; see SetShards.
-	Shards int
-	// ExecShards sets sharded emulation — host goroutines speculating
-	// independent PEs' cycles inside each engine run — within the same
-	// shared grid budget (0 keeps the current setting, negative
-	// selects GOMAXPROCS, 1 is the serial dispatcher). Traces and
-	// results are bit-identical at any setting; see SetExecShards.
-	ExecShards int
 	// MaxComputes caps concurrent experiment computations; 0 means
 	// unlimited. Cache hits and joins of an in-flight identical
 	// computation are never throttled — only the request that would
@@ -109,8 +97,6 @@ func NewService(cfg ServeConfig) (*Service, error) {
 		ResultDir:      cfg.ResultDir,
 		TraceDir:       cfg.TraceDir,
 		Parallelism:    cfg.Parallelism,
-		Shards:         cfg.Shards,
-		ExecShards:     cfg.ExecShards,
 		MaxComputes:    cfg.MaxComputes,
 		MaxQueue:       cfg.MaxQueue,
 		ComputeTimeout: cfg.ComputeTimeout,
