@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Per-target budget for `make fuzz` (three targets run back to back).
 FUZZTIME ?= 30s
 
-.PHONY: all check build test race lint audit fuzz bench bench-engine bench-service bench-cluster cover fmt vet docs
+.PHONY: all check build test race lint audit fuzz cover fmt vet docs
 
 all: build test
 
@@ -56,28 +56,6 @@ fuzz:
 # the grid worker pool, the stores, and the service's single-flight.
 race:
 	$(GO) test -race ./internal/core/ ./internal/mem/ ./internal/trace/ ./internal/cache/ ./internal/experiments/ ./internal/tracestore/ ./internal/bench/ ./internal/service/ ./internal/storage/
-
-# bench runs the cache-replay benchmarks with -benchmem and records the
-# result in BENCH_cache.json (simrefs/s, allocs/op) so the simulator's
-# perf trajectory is tracked per PR. BENCH_COUNT=5 for quieter numbers.
-bench:
-	sh scripts/bench_cache.sh BENCH_cache.json
-
-# bench-engine runs the emulator benchmarks (bare engine + cold trace
-# generation, refs/s and MLIPS) and records BENCH_engine.json.
-bench-engine:
-	sh scripts/bench_engine.sh BENCH_engine.json
-
-# bench-service runs the serving-layer benchmarks (warm-cache req/s and
-# p50/p99 latency over real HTTP) and records BENCH_service.json.
-bench-service:
-	sh scripts/bench_service.sh BENCH_service.json
-
-# bench-cluster runs the cluster-tier benchmarks (warm local hit vs
-# warm peer-fetch vs cold-compute proxy hop over an in-process
-# two-node fleet) and records BENCH_cluster.json.
-bench-cluster:
-	sh scripts/bench_cluster.sh BENCH_cluster.json
 
 # cover collects statement coverage across internal packages and
 # enforces the storage+service floor (scripts/check_coverage.sh).

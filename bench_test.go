@@ -336,8 +336,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 
 // BenchmarkTraceDecode measures compact-codec streaming decode
 // throughput (refs/s) — the read-side cost every store-served replay
-// pays before the cache kernels see a reference. Recorded into
-// BENCH_cache.json by scripts/bench_cache.sh.
+// pays before the cache kernels see a reference.
 func BenchmarkTraceDecode(b *testing.B) {
 	bm, _ := BenchmarkByName("qsort")
 	tr, err := TraceBenchmark(context.Background(), bm, 4, false)

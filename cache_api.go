@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/experiments"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
@@ -75,7 +76,8 @@ type TraceStore = tracestore.Store
 type TraceKey = tracestore.Key
 
 // OpenTraceStore creates (if needed) and opens a trace store directory.
-// Attach it with SetTraceStore (or use SetTraceDir to do both).
+// Attach it with SetTraceStore (or use SetTraceDir to do both), or
+// give it to NewRunner.
 func OpenTraceStore(dir string) (*TraceStore, error) { return tracestore.Open(dir) }
 
 // TraceStoreKey returns the store key for a benchmark cell under the
@@ -92,7 +94,7 @@ func TraceStoreKey(benchmark string, pes int, sequential bool) TraceKey {
 // an in-flight generation (the partial write is cleaned up) and
 // returns ctx.Err().
 func EnsureTraceStored(ctx context.Context, b Benchmark, pes int, sequential bool) (TraceKey, error) {
-	return bench.EnsureStored(ctx, b, pes, sequential)
+	return bench.EnsureStored(ctx, experiments.Default().Store, b, pes, sequential)
 }
 
 // TraceStoreEntry re-exports one stored trace found by TraceStore.List.

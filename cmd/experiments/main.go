@@ -12,16 +12,16 @@
 //	experiments -exp bus [-pes 8] [-cache 256]
 //
 // Grid experiments (table3, fig4, mlips, bus, ablations) run on a
-// bounded worker pool over memoized traces, simulating all cache
+// bounded worker pool over stored traces, simulating all cache
 // configurations per trace concurrently in a single pass; -par bounds
 // the pool, and -progress reports per-cell completion on stderr.
 //
-// -tracedir DIR attaches a persistent trace store: every emulator run
-// is performed at most once per emulator version, traces stream to
-// disk in the compact codec and replay from disk chunk by chunk. A
-// second -exp all over the same directory performs zero emulator runs
-// (the run summary on stderr reports the count). Warm the store ahead
-// of time with cmd/tracegen.
+// Every emulator run is performed once: its trace streams into a
+// store in the compact codec and replays from it chunk by chunk. The
+// store is in memory unless -tracedir DIR puts it on disk, where it
+// persists: a second -exp all over the same directory performs zero
+// emulator runs (the run summary on stderr reports the count). Warm
+// the store ahead of time with cmd/tracegen.
 package main
 
 import (
@@ -90,21 +90,19 @@ func main() {
 	})
 	defer stop()
 
-	rapwam.SetParallelism(parN)
 	var store *rapwam.TraceStore
 	if *traceDir != "" {
-		s, err := rapwam.SetTraceDir(*traceDir)
+		s, err := rapwam.OpenTraceStore(*traceDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
 		store = s
 	}
+	grid := rapwam.NewRunner(store, parN, nil)
 	if *progress {
-		rapwam.SetProgress(func(msg string) {
-			fmt.Fprintf(os.Stderr, "experiments: %s\n", msg)
-		})
-		fmt.Fprintf(os.Stderr, "experiments: grid parallelism %d\n", rapwam.Parallelism())
+		grid.Progress = func(msg string) { fmt.Fprintf(os.Stderr, "experiments: %s\n", msg) }
+		fmt.Fprintf(os.Stderr, "experiments: grid parallelism %d\n", grid.Parallelism())
 	}
 	if store != nil {
 		defer func() {
@@ -140,7 +138,7 @@ func main() {
 		for n := 12; n <= *maxPEs; n += 4 {
 			counts = append(counts, n)
 		}
-		f, err := rapwam.RunFigure2(ctx, counts)
+		f, err := grid.RunFigure2(ctx, counts)
 		if err != nil {
 			return err
 		}
@@ -149,7 +147,7 @@ func main() {
 	})
 
 	run("table2", func() error {
-		t2, err := rapwam.RunTable2(ctx, *pes)
+		t2, err := grid.RunTable2(ctx, *pes)
 		if err != nil {
 			return err
 		}
@@ -158,7 +156,7 @@ func main() {
 	})
 
 	run("table3", func() error {
-		t3, err := rapwam.RunTable3(ctx)
+		t3, err := grid.RunTable3(ctx)
 		if err != nil {
 			return err
 		}
@@ -167,7 +165,7 @@ func main() {
 	})
 
 	run("fig4", func() error {
-		f, err := rapwam.RunFigure4(ctx, []int{1, 2, 4, 8}, []int{64, 128, 256, 512, 1024, 2048, 4096, 8192})
+		f, err := grid.RunFigure4(ctx, []int{1, 2, 4, 8}, []int{64, 128, 256, 512, 1024, 2048, 4096, 8192})
 		if err != nil {
 			return err
 		}
@@ -176,7 +174,7 @@ func main() {
 	})
 
 	run("mlips", func() error {
-		m, err := rapwam.RunMLIPS(ctx, *cache, *target)
+		m, err := grid.RunMLIPS(ctx, *cache, *target)
 		if err != nil {
 			return err
 		}
@@ -185,12 +183,12 @@ func main() {
 	})
 
 	run("bus", func() error {
-		bs, err := rapwam.RunBusStudy(ctx, *pes, *cache)
+		bs, err := grid.RunBusStudy(ctx, *pes, *cache)
 		if err != nil {
 			return err
 		}
 		fmt.Print(bs.String())
-		des, err := rapwam.RunBusDES(ctx, "qsort", *pes, *cache, 4)
+		des, err := grid.RunBusDES(ctx, "qsort", *pes, *cache, 4)
 		if err != nil {
 			return err
 		}
@@ -200,27 +198,27 @@ func main() {
 	})
 
 	run("ablations", func() error {
-		g, err := rapwam.RunGranularitySweep(ctx, []int{0, 1, 2, 3, 4, 6})
+		g, err := grid.RunGranularitySweep(ctx, []int{0, 1, 2, 3, 4, 6})
 		if err != nil {
 			return err
 		}
 		fmt.Print(g.String())
 		fmt.Println()
-		l, err := rapwam.RunLineSizeSweep(ctx, "qsort", 4, 1024, []int{1, 2, 4, 8, 16})
+		l, err := grid.RunLineSizeSweep(ctx, "qsort", 4, 1024, []int{1, 2, 4, 8, 16})
 		if err != nil {
 			return err
 		}
 		fmt.Print(l.String())
 		fmt.Println()
 		for _, b := range []string{"deriv", "qsort", "matrix"} {
-			ls, err := rapwam.RunLockShare(ctx, b, *pes)
+			ls, err := grid.RunLockShare(ctx, b, *pes)
 			if err != nil {
 				return err
 			}
 			fmt.Print(ls.String())
 		}
 		fmt.Println()
-		a, err := rapwam.RunAssocSweep(ctx, "qsort", 4, 1024, []int{1, 2, 4, 8, 0})
+		a, err := grid.RunAssocSweep(ctx, "qsort", 4, 1024, []int{1, 2, 4, 8, 0})
 		if err != nil {
 			return err
 		}

@@ -141,14 +141,13 @@ func main() {
 	}
 	if *verbose {
 		cfg.Log = func(msg string) { fmt.Fprintf(os.Stderr, "rapwamd: %s\n", msg) }
-		rapwam.SetProgress(func(msg string) { fmt.Fprintf(os.Stderr, "rapwamd: grid: %s\n", msg) })
 	}
 
 	if len(peerList) > 0 {
 		fmt.Fprintf(os.Stderr, "rapwamd: cluster of %d (self %s)\n", len(peerList), *self)
 	}
 	fmt.Fprintf(os.Stderr, "rapwamd: serving on %s (results %s, traces %s, emulator %s)\n",
-		*addr, *resultDir, orNone(*traceDir), rapwam.EmulatorVersion())
+		*addr, *resultDir, orMemory(*traceDir), rapwam.EmulatorVersion())
 	if err := rapwam.Serve(ctx, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "rapwamd:", err)
 		os.Exit(1)
@@ -156,9 +155,9 @@ func main() {
 	fmt.Fprintln(os.Stderr, "rapwamd: shut down cleanly")
 }
 
-func orNone(s string) string {
+func orMemory(s string) string {
 	if s == "" {
-		return "(none)"
+		return "(in memory)"
 	}
 	return s
 }

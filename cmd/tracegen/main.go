@@ -224,15 +224,13 @@ func cmdGenerate(args []string) {
 		}
 	}
 
-	store, err := rapwam.SetTraceDir(*dir)
+	store, err := rapwam.OpenTraceStore(*dir)
 	if err != nil {
 		fatal(err)
 	}
-	rapwam.SetParallelism(parN)
+	grid := rapwam.NewRunner(store, parN, nil)
 	if *verbose {
-		rapwam.SetProgress(func(msg string) {
-			fmt.Fprintf(os.Stderr, "tracegen: %s\n", msg)
-		})
+		grid.Progress = func(msg string) { fmt.Fprintf(os.Stderr, "tracegen: %s\n", msg) }
 	}
 
 	// Ctrl-C / SIGTERM cancel generation: in-flight engine runs abort,
@@ -241,7 +239,7 @@ func cmdGenerate(args []string) {
 	defer stopSignals()
 
 	before := store.Stats()
-	err = rapwam.GenerateTraces(ctx, cells2targets(cells))
+	err = grid.GenerateTraces(ctx, cells2targets(cells))
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			after := store.Stats()
@@ -401,7 +399,7 @@ func cmdVerify(args []string) {
 // this build's benchmarks and emulator version. Foreign cells stay
 // quarantined for inspection.
 func cmdRepair(dir string) {
-	store, err := rapwam.SetTraceDir(dir)
+	store, err := rapwam.OpenTraceStore(dir)
 	if err != nil {
 		fatal(err)
 	}
@@ -426,7 +424,7 @@ func cmdRepair(dir string) {
 	if len(targets) > 0 {
 		ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stopSignals()
-		if err := rapwam.GenerateTraces(ctx, targets); err != nil {
+		if err := rapwam.NewRunner(store, 0, nil).GenerateTraces(ctx, targets); err != nil {
 			fatal(err)
 		}
 	}

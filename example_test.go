@@ -90,7 +90,7 @@ func ExampleOpenTraceStore() {
 	defer rapwam.SetTraceStore(nil)
 
 	bm, _ := rapwam.BenchmarkByName("nrev-60")
-	rapwam.ResetEngineRuns()
+	before := rapwam.EngineRuns()
 
 	// First fetch: generated through the store (one emulator run).
 	tr1, err := rapwam.TraceBenchmark(context.Background(), bm, 2, false)
@@ -103,7 +103,7 @@ func ExampleOpenTraceStore() {
 		log.Fatal(err)
 	}
 	fmt.Println("same trace:", tr1.Len() == tr2.Len())
-	fmt.Println("emulator runs:", rapwam.EngineRuns())
+	fmt.Println("emulator runs:", rapwam.EngineRuns()-before)
 
 	key := rapwam.TraceStoreKey(bm.Name, 2, false)
 	fmt.Println("stored cell:", key.Benchmark, "at", key.PEs, "PEs")

@@ -3,6 +3,7 @@ package rapwam
 import (
 	"context"
 
+	"repro/internal/bench"
 	"repro/internal/busmodel"
 	"repro/internal/experiments"
 	"repro/internal/tracestore"
@@ -12,47 +13,45 @@ import (
 // paper's tables and figures. Each returns structured data with a
 // String() rendering.
 //
-// The drivers that sweep parameter grids (Figure 4, Table 3, MLIPS,
-// the bus study and the cache ablations) run on a shared grid runner:
-// engine traces are memoized per (benchmark, PEs, sequential), every
+// The drivers run on a grid Runner: every (benchmark, PEs, sequential)
+// engine run is generated once into the Runner's trace store, every
 // cache configuration consuming one trace is simulated concurrently in
 // a single pass over it, and independent grid cells execute on a
-// bounded worker pool (see SetParallelism).
+// bounded worker pool. The package-level drivers run on a default
+// Runner (an in-memory store, GOMAXPROCS workers, no progress);
+// NewRunner builds one with other settings, whose methods are the
+// same drivers.
 
-// SetParallelism bounds how many experiment grid cells (engine runs
-// and trace replays) execute concurrently. n <= 0 restores the
-// default, runtime.GOMAXPROCS(0). Results are identical at any
-// parallelism level; only wall-clock time changes.
-func SetParallelism(n int) { experiments.SetParallelism(n) }
+// Runner re-exports the experiment grid runner: its trace store,
+// worker-pool width and progress callback, passed explicitly.
+type Runner = experiments.Runner
 
-// Parallelism returns the current experiment worker-pool width.
-func Parallelism() int { return experiments.Parallelism() }
+// NewRunner returns a Runner over store (nil: a fresh in-memory
+// store). par bounds concurrent grid cells (<= 0: GOMAXPROCS);
+// progress, when non-nil, receives one line per completed grid cell
+// and may be called from several goroutines at once. Results are
+// identical at any width and over any store.
+func NewRunner(store *TraceStore, par int, progress func(msg string)) *Runner {
+	return experiments.NewRunner(store, par, progress)
+}
 
-// SetProgress installs a callback receiving one short line per
-// completed experiment grid cell (nil disables progress reporting).
-// The callback may be invoked from multiple goroutines concurrently.
-func SetProgress(f func(msg string)) { experiments.SetProgress(f) }
-
-// ResetTraceCache drops the memoized benchmark traces the experiment
-// drivers share (a few MB per distinct benchmark × PE-count entry).
-func ResetTraceCache() { experiments.ResetTraceCache() }
-
-// SetTraceStore attaches (nil: detaches) a persistent trace store.
-// With a store attached, every (benchmark, PEs, sequential) emulator
-// run is performed at most once per emulator version: the trace
-// streams into the store's compact codec, the run's statistics go into
-// a sidecar, and every later experiment — in this process or the next
-// — replays from disk, chunk by chunk, without materializing the
-// trace. Results are bit-identical to the in-memory path.
+// SetTraceStore points the package-level drivers (and TraceBenchmark,
+// EnsureTraceStored, GenerateTraces) at a persistent trace store; nil
+// gives them a fresh in-memory one. Every (benchmark, PEs, sequential)
+// emulator run is then performed at most once per emulator version:
+// the trace streams into the store's compact codec, the run's
+// statistics go into a sidecar, and every later experiment — in this
+// process or the next — replays from disk, chunk by chunk, without
+// materializing the trace. Results are bit-identical either way.
 func SetTraceStore(s *TraceStore) { experiments.SetStore(s) }
 
 // SetTraceDir opens (creating if needed) the trace store rooted at dir
-// and attaches it; an empty dir detaches the store. It is the
-// one-liner behind the CLIs' -tracedir flag.
+// and attaches it (SetTraceStore); an empty dir attaches a fresh
+// in-memory store. It returns the attached store.
 func SetTraceDir(dir string) (*TraceStore, error) {
 	if dir == "" {
 		experiments.SetStore(nil)
-		return nil, nil
+		return experiments.Default().Store, nil
 	}
 	s, err := tracestore.Open(dir)
 	if err != nil {
@@ -66,20 +65,17 @@ func SetTraceDir(dir string) (*TraceStore, error) {
 type TraceTarget = experiments.TraceTarget
 
 // GenerateTraces generates every missing target cell into the attached
-// trace store, independent cells concurrently on the bounded worker
-// pool (SetParallelism). cmd/tracegen's generate subcommand is a thin
-// wrapper around it.
+// trace store (SetTraceStore), independent cells concurrently on the
+// bounded worker pool; Runner.GenerateTraces does the same on any
+// Runner.
 func GenerateTraces(ctx context.Context, targets []TraceTarget) error {
 	return experiments.GenerateTraces(ctx, targets)
 }
 
-// EngineRuns returns the number of emulator executions performed so
-// far — the observable that verifies a warm trace store eliminates
-// regeneration (a full experiment sweep over a warm store reports 0).
-func EngineRuns() int64 { return experiments.EngineRuns() }
-
-// ResetEngineRuns zeroes the emulator-execution counter.
-func ResetEngineRuns() { experiments.ResetEngineRuns() }
+// EngineRuns returns the number of emulator executions performed in
+// this process so far. Comparing it before and after a sweep verifies
+// that a warm trace store eliminates regeneration (the delta is 0).
+func EngineRuns() int64 { return bench.EngineRuns() }
 
 // Table1 renders the storage-object classification (paper Table 1).
 func Table1() string { return experiments.Table1() }

@@ -65,18 +65,15 @@ func TestEnsureStoredCancellationNotMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetTraceStore(store)
-	defer SetTraceStore(nil)
-
 	b := QsortSized(300) // distinct cell, cheap regeneration
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EnsureStored(ctx, b, 2, false); !errors.Is(err, context.Canceled) {
+	if _, err := EnsureStored(ctx, store, b, 2, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EnsureStored with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	// The cancelled flight must not poison the cell: a caller with a
 	// live context regenerates it.
-	if _, err := EnsureStored(context.Background(), b, 2, false); err != nil {
+	if _, err := EnsureStored(context.Background(), store, b, 2, false); err != nil {
 		t.Fatalf("EnsureStored after cancelled attempt: %v", err)
 	}
 	if !store.Has(StoreKey(b.Name, 2, false)) {
@@ -100,9 +97,6 @@ func TestEnsureStoredMidRunCancellationCleansUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetTraceStore(store)
-	defer SetTraceStore(nil)
-
 	b := QsortSized(400)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -112,7 +106,7 @@ func TestEnsureStoredMidRunCancellationCleansUp(t *testing.T) {
 	before := EngineRuns()
 	done := make(chan error, 1)
 	go func() {
-		_, err := EnsureStored(ctx, b, 4, false)
+		_, err := EnsureStored(ctx, store, b, 4, false)
 		done <- err
 	}()
 	for EngineRuns() == before {

@@ -7,8 +7,6 @@ package bench
 // measures the full cold-generation path the trace store pays on a
 // miss: emulate + compact-codec encode. Compilation happens once per
 // cell outside the timed loop (tracegen compiles once per cell too).
-// scripts/bench_engine.sh records both into BENCH_engine.json next to
-// the cache-replay numbers.
 
 import (
 	"io"

@@ -1,64 +1,51 @@
 package bench
 
-// Persistent trace-store integration. When a store is attached
-// (SetTraceStore), every benchmark cell — one (benchmark, PEs,
-// sequential) engine run — is generated at most once per emulator
-// version: the run streams its reference trace straight into the
-// store's compact encoder (never buffering it) and records its engine
-// statistics in a JSON sidecar, and later callers replay from disk.
-// Trace and the experiments grid runner both consult the store before
-// regenerating.
+// Persistent trace-store integration. Every benchmark cell — one
+// (benchmark, PEs, sequential) engine run — is generated into a store
+// at most once per emulator version: the run streams its reference
+// trace straight into the store's compact encoder (never buffering it)
+// and records its engine statistics in a JSON sidecar, and later
+// callers replay from the store. The store is always an explicit
+// argument; the experiments Runner owns one.
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
 
 // engineRuns counts emulator executions (Run calls) since process
-// start or the last ResetEngineRuns — the observable that verifies a
-// warm trace store eliminates regeneration.
+// start — the observable that verifies a warm trace store eliminates
+// regeneration. Callers compare deltas.
 var engineRuns atomic.Int64
 
 // EngineRuns returns the number of emulator executions performed so
-// far (every Run call, including runs on behalf of Trace and the
+// far (every Run call, including runs on behalf of EnsureStored and the
 // experiment drivers).
 func EngineRuns() int64 { return engineRuns.Load() }
 
-// ResetEngineRuns zeroes the emulator-execution counter.
-func ResetEngineRuns() { engineRuns.Store(0) }
+// cellFlights single-flights concurrent generation of the same cell in
+// the same store. Flights are removed on completion — success lives on
+// in the store itself (the next caller's Has check hits), and failures
+// are never memoized, so a quarantined or lost cell regenerates on the
+// next call instead of replaying a stale error forever.
+var cellFlights sync.Map // cellFlightKey -> *cellFlight
 
-// traceStore is the attached persistent store (nil = disabled).
-var traceStoreP atomic.Pointer[tracestore.Store]
-
-// cellFlights single-flights concurrent generation of the same cell.
-// Flights are removed on completion — success lives on in the store
-// itself (the next caller's Has check hits), and failures are never
-// memoized, so a quarantined or lost cell regenerates on the next
-// call instead of replaying a stale error forever. The memo that made
-// "stored" permanent in-process is gone on purpose: the store is the
-// source of truth now, which is what lets self-healing reads work.
-var cellFlights sync.Map // tracestore.Key -> *cellFlight
+// cellFlightKey scopes a flight to one store: a generation into store
+// A never satisfies a waiter on store B.
+type cellFlightKey struct {
+	store *tracestore.Store
+	key   tracestore.Key
+}
 
 type cellFlight struct {
 	done chan struct{}
 	err  error
 }
-
-// SetTraceStore attaches (or, with nil, detaches) the persistent trace
-// store consulted by Trace and EnsureStored.
-func SetTraceStore(s *tracestore.Store) {
-	traceStoreP.Store(s)
-}
-
-// TraceStore returns the attached persistent trace store (nil if none).
-func TraceStore() *tracestore.Store { return traceStoreP.Load() }
 
 // StoreKey returns the trace-store key for a benchmark cell under the
 // current emulator version.
@@ -85,28 +72,24 @@ type RunRecord struct {
 	Refs trace.Counter
 }
 
-// EnsureStored makes sure the attached store holds the trace and run
-// sidecar for (b, pes, sequential), generating them with one engine run
-// if absent. Generation is streaming (the trace never materializes in
-// memory) and single-flighted: concurrent callers for the same cell
+// EnsureStored makes sure s holds the trace and run sidecar for (b,
+// pes, sequential), generating them with one engine run if absent.
+// Generation is streaming (the trace never materializes in memory) and
+// single-flighted per store: concurrent callers for the same cell in s
 // block until the one generation completes — the generating caller's
 // ctx governs the engine run, so every waiter on a cancelled flight
-// observes the context error. It returns the cell's key. Calling
-// EnsureStored with no store attached is an error.
+// observes the context error. It returns the cell's key.
 //
 // Failures are not memoized: the next call re-checks the store and
 // regenerates, which is how a cell quarantined by a corrupt read comes
 // back. Callers that keep looping on a persistently failing cell are
 // expected to bound their own retries (the experiments grid does).
-func EnsureStored(ctx context.Context, b Benchmark, pes int, sequential bool) (tracestore.Key, error) {
-	s := TraceStore()
+func EnsureStored(ctx context.Context, s *tracestore.Store, b Benchmark, pes int, sequential bool) (tracestore.Key, error) {
 	k := StoreKey(b.Name, pes, sequential)
-	if s == nil {
-		return k, errNoStore
-	}
+	fk := cellFlightKey{s, k}
 	for {
 		f := &cellFlight{done: make(chan struct{})}
-		if v, loaded := cellFlights.LoadOrStore(k, f); loaded {
+		if v, loaded := cellFlights.LoadOrStore(fk, f); loaded {
 			// Someone else is generating this cell; wait them out,
 			// then re-check the store (their failure is not ours to
 			// inherit — a cancelled or faulted generation must not
@@ -128,7 +111,7 @@ func EnsureStored(ctx context.Context, b Benchmark, pes int, sequential bool) (t
 			}
 		}
 		f.err = generateCell(ctx, s, k, b, pes, sequential)
-		cellFlights.Delete(k)
+		cellFlights.Delete(fk)
 		close(f.done)
 		return k, f.err
 	}
@@ -151,17 +134,9 @@ func generateCell(ctx context.Context, s *tracestore.Store, k tracestore.Key, b 
 	return s.PutSidecar(k, RunRecord{Success: res.Success, Stats: res.Stats, Refs: *res.Refs})
 }
 
-// errNoStore reports EnsureStored use without an attached store.
-var errNoStore = errors.New("bench: no trace store attached (SetTraceStore)")
-
-// traceHealAttempts bounds how many times Trace retries a cell whose
-// stored copy keeps failing before degrading to a direct run.
-const traceHealAttempts = 3
-
 // TraceDirect generates the benchmark's full memory-reference trace
-// with one emulator run, bypassing any attached store — the degraded
-// path when storage is unavailable, and the only path when no store is
-// attached.
+// with one emulator run, bypassing any store — the degraded path when
+// storage keeps failing.
 func TraceDirect(ctx context.Context, b Benchmark, pes int, sequential bool) (*trace.Buffer, *core.Result, error) {
 	buf := trace.NewBuffer(1 << 20)
 	res, err := Run(ctx, b, RunConfig{PEs: pes, Sequential: sequential, Sink: buf})
@@ -169,61 +144,4 @@ func TraceDirect(ctx context.Context, b Benchmark, pes int, sequential bool) (*t
 		return nil, nil, err
 	}
 	return buf, res, nil
-}
-
-// Trace returns the benchmark's full memory-reference trace, running
-// the emulator to generate it. With a persistent store attached
-// (SetTraceStore) the store is consulted first: a hit decodes the
-// stored trace instead of re-running the emulator (and returns a nil
-// run result, since no run happened), and a miss generates through the
-// store so the next caller hits.
-//
-// Store failures self-heal: a corrupt stored trace is quarantined by
-// the read (tracestore.CorruptError reads as a miss), so the retry
-// regenerates it; transient backend errors retry too; and if the store
-// keeps failing, Trace degrades to a direct in-memory run (marking the
-// context's degraded flag) — storage trouble costs latency, never an
-// answer. Callers that want to stream references instead of buffering
-// them pass their own Sink via RunConfig; callers that should never
-// materialize the trace replay it from the store
-// (tracestore.Store.Replay) instead.
-func Trace(ctx context.Context, b Benchmark, pes int, sequential bool) (*trace.Buffer, *core.Result, error) {
-	s := TraceStore()
-	if s == nil {
-		return TraceDirect(ctx, b, pes, sequential)
-	}
-	var lastErr error
-	for attempt := 0; attempt < traceHealAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		if _, lastErr = EnsureStored(ctx, b, pes, sequential); lastErr != nil {
-			if storage.AsBackendError(lastErr) {
-				continue // transient or backend-side: retry, then degrade
-			}
-			return nil, nil, lastErr
-		}
-		buf, _, err := s.Load(StoreKey(b.Name, pes, sequential))
-		if err == nil {
-			return buf, nil, nil
-		}
-		lastErr = err
-		// Corrupt loads quarantined the object (a miss now) and
-		// transient errors deserve another try; anything else falls
-		// through to the degraded path below.
-		if !tracestore.IsCorrupt(err) && !storage.AsBackendError(err) && !errors.Is(err, context.Canceled) {
-			break
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	// The store would not yield this cell; compute without it rather
-	// than fail the caller. The flag makes the bypass visible
-	// (X-Degraded at the serving layer).
-	storage.MarkDegraded(ctx, "trace-store")
-	return TraceDirect(ctx, b, pes, sequential)
 }

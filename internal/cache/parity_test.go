@@ -31,7 +31,7 @@ func parityTrace(t testing.TB, name string, pes int, sequential bool) *trace.Buf
 	if !ok {
 		t.Fatalf("unknown benchmark %q", name)
 	}
-	buf, _, err := bench.Trace(context.Background(), b, pes, sequential)
+	buf, _, err := bench.TraceDirect(context.Background(), b, pes, sequential)
 	if err != nil {
 		t.Fatalf("tracing %s: %v", name, err)
 	}

@@ -25,8 +25,8 @@ func SimulateAll(buf *trace.Buffer, cfgs []Config) ([]Stats, error) {
 // configuration, hands their sinks to replay — which must deliver the
 // full stream to each sink in emission order (e.g. via trace.FanOut or
 // a store's chunked decode) — and collects per-configuration
-// statistics. The experiments grid uses it to stream traces from disk
-// without materializing them.
+// statistics. The experiments grid uses it to stream traces from its
+// store without materializing them.
 func SimulateAllStream(cfgs []Config, replay func(sinks []trace.Sink) error) ([]Stats, error) {
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/busmodel"
 	"repro/internal/cache"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -32,9 +31,9 @@ type GranularitySweep struct {
 }
 
 // RunGranularitySweep measures deriv at the given depths, serving
-// per-cell statistics from the grid's memo layer.
-func RunGranularitySweep(ctx context.Context, depths []int) (*GranularitySweep, error) {
-	base, _, err := runStats(ctx, bench.DerivDepth(0), 1, true)
+// per-cell statistics from the Runner's store.
+func (r *Runner) RunGranularitySweep(ctx context.Context, depths []int) (*GranularitySweep, error) {
+	base, _, err := r.runStats(ctx, bench.DerivDepth(0), 1, true)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +41,7 @@ func RunGranularitySweep(ctx context.Context, depths []int) (*GranularitySweep, 
 	baseCycles := float64(base.Cycles)
 	out := &GranularitySweep{}
 	for _, d := range depths {
-		st, _, err := runStats(ctx, bench.DerivDepth(d), 8, false)
+		st, _, err := r.runStats(ctx, bench.DerivDepth(d), 8, false)
 		if err != nil {
 			return nil, err
 		}
@@ -79,8 +78,8 @@ type LineSizeSweep struct {
 
 // RunLineSizeSweep replays one benchmark trace across line sizes; all
 // line sizes are simulated concurrently in a single pass over the
-// memoized trace.
-func RunLineSizeSweep(ctx context.Context, benchName string, pes, sizeWords int, lines []int) (*LineSizeSweep, error) {
+// stored trace.
+func (r *Runner) RunLineSizeSweep(ctx context.Context, benchName string, pes, sizeWords int, lines []int) (*LineSizeSweep, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
@@ -93,7 +92,7 @@ func RunLineSizeSweep(ctx context.Context, benchName string, pes, sizeWords int,
 			WriteAllocate: cache.PaperWriteAllocate(cache.WriteInBroadcast, sizeWords),
 		}
 	}
-	sts, err := simulateAll(ctx, b, pes, pes == 1, cfgs)
+	sts, err := r.simulateAll(ctx, b, pes, pes == 1, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -129,13 +128,13 @@ type LockShare struct {
 }
 
 // RunLockShare measures one benchmark; the Table 1 reference counter
-// comes from the grid's memo layer (the run sidecar, with a store).
-func RunLockShare(ctx context.Context, benchName string, pes int) (*LockShare, error) {
+// comes from the cell's run sidecar in the Runner's store.
+func (r *Runner) RunLockShare(ctx context.Context, benchName string, pes int) (*LockShare, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
 	}
-	_, refs, err := runStats(ctx, b, pes, false)
+	_, refs, err := r.runStats(ctx, b, pes, false)
 	if err != nil {
 		return nil, err
 	}
@@ -178,23 +177,19 @@ type BusDES struct {
 
 // RunBusDES replays one benchmark's bus transactions through the DES
 // bus and the analytic model.
-func RunBusDES(ctx context.Context, benchName string, pes, cacheWords int, busWordsPerCycle float64) (*BusDES, error) {
+func (r *Runner) RunBusDES(ctx context.Context, benchName string, pes, cacheWords int, busWordsPerCycle float64) (*BusDES, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
 	}
 	// The DES needs the bus-transaction event stream in global order, so
-	// this one replay stays sequential (a single OnBus observer); with a
-	// store attached it streams from the stored trace. A mid-replay
-	// failure leaves sim and events partially fed, so every heal attempt
-	// recreates both before replaying again; a store that keeps failing
-	// degrades to a direct in-memory trace (marking the context
-	// degraded) — bit-identical events either way.
+	// this one replay stays sequential (a single OnBus observer). Every
+	// replay attempt recreates sim and events (see Runner.replay).
 	var (
 		events []busmodel.Event
 		sim    *cache.Sim
 	)
-	fresh := func() {
+	err := r.replay(ctx, b, pes, pes == 1, func(feed func([]trace.Sink) error) error {
 		events = nil
 		sim = cache.New(cache.Config{
 			PEs: pes, SizeWords: cacheWords, LineWords: 4,
@@ -208,32 +203,10 @@ func RunBusDES(ctx context.Context, benchName string, pes, cacheWords int, busWo
 				PE: pe, Time: float64(refIndex) / float64(pes), Words: words,
 			})
 		}
-	}
-	var replayErr error
-	for attempt := 0; attempt < storeHealAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		fresh()
-		if replayErr = replayCell(ctx, b, pes, pes == 1, sim); replayErr == nil {
-			break
-		}
-		if !storeHealable(replayErr) {
-			return nil, replayErr
-		}
-	}
-	if replayErr != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		storage.MarkDegraded(ctx, "trace-store")
-		progress("bus DES for %s @ %d PEs degrading to direct run: %v", benchName, pes, replayErr)
-		buf, err := cachedTrace(ctx, b, pes, pes == 1, true)
-		if err != nil {
-			return nil, err
-		}
-		fresh()
-		buf.ReplayAll(sim)
+		return feed([]trace.Sink{sim})
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	des, _, err := busmodel.Simulate(events, pes, busWordsPerCycle)
@@ -276,9 +249,9 @@ type AssocSweep struct {
 }
 
 // RunAssocSweep replays one benchmark trace across associativities; all
-// ways are simulated concurrently in a single pass over the memoized
+// ways are simulated concurrently in a single pass over the stored
 // trace.
-func RunAssocSweep(ctx context.Context, benchName string, pes, sizeWords int, ways []int) (*AssocSweep, error) {
+func (r *Runner) RunAssocSweep(ctx context.Context, benchName string, pes, sizeWords int, ways []int) (*AssocSweep, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
@@ -292,7 +265,7 @@ func RunAssocSweep(ctx context.Context, benchName string, pes, sizeWords int, wa
 			Assoc:         w,
 		}
 	}
-	sts, err := simulateAll(ctx, b, pes, pes == 1, cfgs)
+	sts, err := r.simulateAll(ctx, b, pes, pes == 1, cfgs)
 	if err != nil {
 		return nil, err
 	}

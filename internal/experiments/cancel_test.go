@@ -14,7 +14,7 @@ func TestRunGridReturnsContextError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	err := runGrid(ctx, 10, func(i int) error {
+	err := NewRunner(nil, 0, nil).runGrid(ctx, 10, func(i int) error {
 		calls.Add(1)
 		return nil
 	})
@@ -27,12 +27,10 @@ func TestRunGridReturnsContextError(t *testing.T) {
 }
 
 func TestRunGridStopsAtCellBoundary(t *testing.T) {
-	SetParallelism(2)
-	defer SetParallelism(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	err := runGrid(ctx, 1000, func(i int) error {
+	err := NewRunner(nil, 2, nil).runGrid(ctx, 1000, func(i int) error {
 		if calls.Add(1) == 1 {
 			cancel()
 		}
@@ -66,16 +64,17 @@ func TestDriverCancellationDoesNotPoisonMemo(t *testing.T) {
 	}
 }
 
-func TestCachedTraceEvictsCancelledEntry(t *testing.T) {
+func TestTraceAfterCancelledAttempt(t *testing.T) {
+	r := NewRunner(nil, 0, nil)
 	b, _ := bench.ByName("deriv-12")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cachedTrace(ctx, b, 2, false, false); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cachedTrace with cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := r.Trace(ctx, b, 2, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Trace with cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	buf, err := cachedTrace(context.Background(), b, 2, false, false)
+	buf, err := r.Trace(context.Background(), b, 2, false)
 	if err != nil {
-		t.Fatalf("cachedTrace after cancelled attempt: %v", err)
+		t.Fatalf("Trace after cancelled attempt: %v", err)
 	}
 	if buf.Len() == 0 {
 		t.Fatal("retried trace is empty")
@@ -87,15 +86,14 @@ func TestGenerateTracesCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetStore(store)
-	defer SetStore(nil)
+	r := NewRunner(store, 0, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	targets := []TraceTarget{{Benchmark: bench.Qsort(), PEs: 2}}
-	if err := GenerateTraces(ctx, targets); !errors.Is(err, context.Canceled) {
+	if err := r.GenerateTraces(ctx, targets); !errors.Is(err, context.Canceled) {
 		t.Fatalf("GenerateTraces with cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if err := GenerateTraces(context.Background(), targets); err != nil {
+	if err := r.GenerateTraces(context.Background(), targets); err != nil {
 		t.Fatalf("GenerateTraces retry: %v", err)
 	}
 }

@@ -197,7 +197,7 @@ func TestUpdateBroadcastCloseToWriteIn(t *testing.T) {
 	// almost identical to those of the write-in broadcast cache, an
 	// indication that communication traffic in RAP-WAM is low."
 	b, _ := benchByName(t, "qsort")
-	buf, err := cachedTrace(context.Background(), b, 8, false, false)
+	buf, err := Default().Trace(context.Background(), b, 8, false)
 	if err != nil {
 		t.Fatal(err)
 	}

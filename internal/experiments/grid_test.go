@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cache"
 )
 
@@ -31,7 +32,7 @@ func TestFanOutReplayBitIdenticalToSequential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		b, _ := benchByName(t, tc.bench)
-		buf, err := cachedTrace(context.Background(), b, tc.pes, tc.pes == 1, false)
+		buf, _, err := bench.TraceDirect(context.Background(), b, tc.pes, tc.pes == 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,10 +63,8 @@ func TestFanOutReplayBitIdenticalToSequential(t *testing.T) {
 }
 
 func TestRunGridRunsAllCellsBounded(t *testing.T) {
-	SetParallelism(3)
-	defer SetParallelism(0)
 	var inFlight, peak, done atomic.Int64
-	err := runGrid(context.Background(), 50, func(i int) error {
+	err := NewRunner(nil, 3, nil).runGrid(context.Background(), 50, func(i int) error {
 		n := inFlight.Add(1)
 		defer inFlight.Add(-1)
 		for {
@@ -91,7 +90,7 @@ func TestRunGridRunsAllCellsBounded(t *testing.T) {
 func TestRunGridPropagatesError(t *testing.T) {
 	want := errors.New("cell failed")
 	var ran atomic.Int64
-	err := runGrid(context.Background(), 10, func(i int) error {
+	err := NewRunner(nil, 0, nil).runGrid(context.Background(), 10, func(i int) error {
 		ran.Add(1)
 		if i == 4 {
 			return want
@@ -108,52 +107,16 @@ func TestRunGridPropagatesError(t *testing.T) {
 	}
 }
 
-func TestCachedTraceMemoizes(t *testing.T) {
-	b, _ := benchByName(t, "deriv")
-	first, err := cachedTrace(context.Background(), b, 1, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := cachedTrace(context.Background(), b, 1, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != again {
-		t.Error("same (benchmark, PEs, sequential) key re-traced")
-	}
-	other, err := cachedTrace(context.Background(), b, 2, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other == first {
-		t.Error("distinct keys shared a trace")
-	}
-	ResetTraceCache()
-	fresh, err := cachedTrace(context.Background(), b, 1, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh == first {
-		t.Error("ResetTraceCache kept the old entry")
-	}
-	if fresh.Len() != first.Len() {
-		t.Errorf("re-traced length %d != original %d (engine not deterministic?)", fresh.Len(), first.Len())
-	}
-}
-
 // TestGridParallelismInvariance re-runs a full driver at parallelism 1
 // and N and requires identical output — the grid must never change the
 // numbers, only the wall clock.
 func TestGridParallelismInvariance(t *testing.T) {
 	sizes := []int{128, 512}
-	SetParallelism(1)
-	defer SetParallelism(0)
-	seq, err := RunFigure4(context.Background(), []int{1, 2}, sizes)
+	seq, err := NewRunner(nil, 1, nil).RunFigure4(context.Background(), []int{1, 2}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetParallelism(8)
-	par, err := RunFigure4(context.Background(), []int{1, 2}, sizes)
+	par, err := NewRunner(nil, 8, nil).RunFigure4(context.Background(), []int{1, 2}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +135,7 @@ func TestGridParallelismInvariance(t *testing.T) {
 
 func TestSimulateAllRejectsBadConfig(t *testing.T) {
 	b, _ := benchByName(t, "deriv")
-	_, err := simulateAll(context.Background(), b, 1, true, []cache.Config{
+	_, err := NewRunner(nil, 0, nil).simulateAll(context.Background(), b, 1, true, []cache.Config{
 		{PEs: 0, SizeWords: 128, LineWords: 4},
 	})
 	if err == nil {

@@ -13,21 +13,15 @@ import (
 	"repro/internal/tracestore"
 )
 
-// withStore attaches a fresh store rooted in a test temp dir and
-// restores the store-less state afterwards.
-func withStore(t *testing.T) *tracestore.Store {
+// dirRunner returns a Runner over a fresh directory store rooted in a
+// test temp dir.
+func dirRunner(t *testing.T) *Runner {
 	t.Helper()
 	s, err := tracestore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetStore(s)
-	ResetTraceCache()
-	t.Cleanup(func() {
-		SetStore(nil)
-		ResetTraceCache()
-	})
-	return s
+	return NewRunner(s, 0, nil)
 }
 
 // testConfigs is a small protocol × size grid.
@@ -47,8 +41,8 @@ func testConfigs(pes int) []cache.Config {
 
 // TestStoreStreamedReplayParity checks the acceptance criterion that
 // streamed replay from disk produces bit-identical statistics —
-// aggregate and per-PE — to in-memory replay, across protocols, for a
-// parallel and a sequential workload.
+// aggregate and per-PE — to replaying a directly captured trace,
+// across protocols, for a parallel and a sequential workload.
 func TestStoreStreamedReplayParity(t *testing.T) {
 	cells := []struct {
 		name string
@@ -65,8 +59,8 @@ func TestStoreStreamedReplayParity(t *testing.T) {
 		}
 		cfgs := testConfigs(cell.pes)
 
-		// In-memory reference: buffer the trace, replay per config.
-		buf, _, err := bench.Trace(context.Background(), b, cell.pes, cell.seq)
+		// Reference: capture the trace directly, replay per config.
+		buf, _, err := bench.TraceDirect(context.Background(), b, cell.pes, cell.seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,30 +72,23 @@ func TestStoreStreamedReplayParity(t *testing.T) {
 
 		// Store path: generate into the store, stream from disk through
 		// the fan-out into all configs at once.
-		s := func() *tracestore.Store {
-			st, err := tracestore.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
+		var gotSims []*cache.Sim
+		err = dirRunner(t).replay(context.Background(), b, cell.pes, cell.seq, func(feed func([]trace.Sink) error) error {
+			gotSims = make([]*cache.Sim, len(cfgs))
+			sinks := make([]trace.Sink, len(cfgs))
+			for i, cfg := range cfgs {
+				gotSims[i] = cache.New(cfg)
+				sinks[i] = gotSims[i]
 			}
-			return st
-		}()
-		SetStore(s)
-		ResetTraceCache()
-		t.Cleanup(func() { SetStore(nil); ResetTraceCache() })
-
-		gotSims := make([]*cache.Sim, len(cfgs))
-		sinks := make([]trace.Sink, len(cfgs))
-		for i, cfg := range cfgs {
-			gotSims[i] = cache.New(cfg)
-			sinks[i] = gotSims[i]
-		}
-		if err := replayCell(context.Background(), b, cell.pes, cell.seq, sinks...); err != nil {
+			return feed(sinks)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 
 		for i := range cfgs {
 			if got, want := gotSims[i].Stats(), wantSims[i].Stats(); got != want {
-				t.Errorf("%s@%d cfg %d: streamed stats %+v != in-memory %+v", cell.name, cell.pes, i, got, want)
+				t.Errorf("%s@%d cfg %d: streamed stats %+v != direct %+v", cell.name, cell.pes, i, got, want)
 			}
 			if got, want := gotSims[i].PerPEBusWords(), wantSims[i].PerPEBusWords(); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s@%d cfg %d: per-PE bus words %v != %v", cell.name, cell.pes, i, got, want)
@@ -110,8 +97,6 @@ func TestStoreStreamedReplayParity(t *testing.T) {
 				t.Errorf("%s@%d cfg %d: per-PE refs %v != %v", cell.name, cell.pes, i, got, want)
 			}
 		}
-		SetStore(nil)
-		ResetTraceCache()
 	}
 }
 
@@ -121,7 +106,7 @@ func TestStoreStreamedReplayParity(t *testing.T) {
 // performs zero emulator runs, and every result is identical to the
 // cold pass that generated the store.
 func TestWarmStoreRunsNoEmulation(t *testing.T) {
-	withStore(t)
+	run := dirRunner(t)
 
 	type results struct {
 		fig2 *Figure2
@@ -132,41 +117,43 @@ func TestWarmStoreRunsNoEmulation(t *testing.T) {
 		des  *BusDES
 	}
 	runAll := func() (results, error) {
+		ctx := context.Background()
 		var r results
 		var err error
-		if r.fig2, err = RunFigure2(context.Background(), []int{1, 2}); err != nil {
+		if r.fig2, err = run.RunFigure2(ctx, []int{1, 2}); err != nil {
 			return r, err
 		}
-		if r.t2, err = RunTable2(context.Background(), 2); err != nil {
+		if r.t2, err = run.RunTable2(ctx, 2); err != nil {
 			return r, err
 		}
-		if r.fig4, err = RunFigure4(context.Background(), []int{2}, []int{128, 1024}); err != nil {
+		if r.fig4, err = run.RunFigure4(ctx, []int{2}, []int{128, 1024}); err != nil {
 			return r, err
 		}
-		if r.line, err = RunLineSizeSweep(context.Background(), "qsort", 2, 512, []int{2, 8}); err != nil {
+		if r.line, err = run.RunLineSizeSweep(ctx, "qsort", 2, 512, []int{2, 8}); err != nil {
 			return r, err
 		}
-		if r.lock, err = RunLockShare(context.Background(), "qsort", 2); err != nil {
+		if r.lock, err = run.RunLockShare(ctx, "qsort", 2); err != nil {
 			return r, err
 		}
-		r.des, err = RunBusDES(context.Background(), "qsort", 2, 256, 4)
+		r.des, err = run.RunBusDES(ctx, "qsort", 2, 256, 4)
 		return r, err
 	}
 
+	before := bench.EngineRuns()
 	cold, err := runAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := EngineRuns(); n == 0 {
+	if bench.EngineRuns() == before {
 		t.Fatal("cold pass reported zero engine runs")
 	}
 
-	ResetEngineRuns()
+	before = bench.EngineRuns()
 	warm, err := runAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := EngineRuns(); n != 0 {
+	if n := bench.EngineRuns() - before; n != 0 {
 		t.Fatalf("warm store still performed %d emulator runs", n)
 	}
 	if !reflect.DeepEqual(cold, warm) {
@@ -174,41 +161,38 @@ func TestWarmStoreRunsNoEmulation(t *testing.T) {
 	}
 }
 
-// TestStoreVsMemoryDriverParity runs the same drivers with and without
-// a store and requires identical outputs: the persistence layer must be
-// invisible in the numbers.
+// TestStoreVsMemoryDriverParity runs the same drivers on a Runner over
+// a directory store and one over an in-memory store and requires
+// identical outputs: the store backend must be invisible in the
+// numbers.
 func TestStoreVsMemoryDriverParity(t *testing.T) {
-	run := func() (*Figure4, *Table2, *LockShare) {
-		f4, err := RunFigure4(context.Background(), []int{2}, []int{256})
+	run := func(r *Runner) (*Figure4, *Table2, *LockShare) {
+		f4, err := r.RunFigure4(context.Background(), []int{2}, []int{256})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t2, err := RunTable2(context.Background(), 2)
+		t2, err := r.RunTable2(context.Background(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls, err := RunLockShare(context.Background(), "matrix", 2)
+		ls, err := r.RunLockShare(context.Background(), "matrix", 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f4, t2, ls
 	}
 
-	SetStore(nil)
-	ResetTraceCache()
-	memF4, memT2, memLS := run()
+	memF4, memT2, memLS := run(NewRunner(nil, 0, nil))
+	dirF4, dirT2, dirLS := run(dirRunner(t))
 
-	withStore(t)
-	stoF4, stoT2, stoLS := run()
-
-	if !reflect.DeepEqual(memF4, stoF4) {
-		t.Errorf("Figure4 differs: mem %+v store %+v", memF4, stoF4)
+	if !reflect.DeepEqual(memF4, dirF4) {
+		t.Errorf("Figure4 differs: mem %+v dir %+v", memF4, dirF4)
 	}
-	if !reflect.DeepEqual(memT2, stoT2) {
-		t.Errorf("Table2 differs: mem %+v store %+v", memT2, stoT2)
+	if !reflect.DeepEqual(memT2, dirT2) {
+		t.Errorf("Table2 differs: mem %+v dir %+v", memT2, dirT2)
 	}
-	if !reflect.DeepEqual(memLS, stoLS) {
-		t.Errorf("LockShare differs: mem %+v store %+v", memLS, stoLS)
+	if !reflect.DeepEqual(memLS, dirLS) {
+		t.Errorf("LockShare differs: mem %+v dir %+v", memLS, dirLS)
 	}
 }
 
@@ -217,29 +201,29 @@ func TestStoreVsMemoryDriverParity(t *testing.T) {
 // query falls back to one emulator run and rewrites the sidecar, so
 // later queries are served from the store again.
 func TestRunStatsRepairsMissingSidecar(t *testing.T) {
-	s := withStore(t)
+	r := dirRunner(t)
 	b, _ := bench.ByName("matrix")
-	if _, err := bench.EnsureStored(context.Background(), b, 2, false); err != nil {
+	if _, err := bench.EnsureStored(context.Background(), r.Store, b, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	k := bench.StoreKey("matrix", 2, false)
-	sidecar := strings.TrimSuffix(s.Path(k), tracestore.TraceExt) + ".json"
+	sidecar := strings.TrimSuffix(r.Store.Path(k), tracestore.TraceExt) + ".json"
 	if err := os.Remove(sidecar); err != nil {
 		t.Fatalf("removing sidecar: %v", err)
 	}
 
-	ResetEngineRuns()
-	if _, _, err := runStats(context.Background(), b, 2, false); err != nil {
+	before := bench.EngineRuns()
+	if _, _, err := r.runStats(context.Background(), b, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	if n := EngineRuns(); n != 1 {
+	if n := bench.EngineRuns() - before; n != 1 {
 		t.Fatalf("fallback performed %d engine runs, want 1", n)
 	}
-	ResetEngineRuns()
-	if _, _, err := runStats(context.Background(), b, 2, false); err != nil {
+	before = bench.EngineRuns()
+	if _, _, err := r.runStats(context.Background(), b, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	if n := EngineRuns(); n != 0 {
+	if n := bench.EngineRuns() - before; n != 0 {
 		t.Fatalf("sidecar not repaired: %d engine runs on second query", n)
 	}
 }
@@ -248,18 +232,18 @@ func TestRunStatsRepairsMissingSidecar(t *testing.T) {
 // needing the same trace generate it exactly once, while distinct cells
 // generate in parallel on the pool.
 func TestParallelGenerationSingleFlight(t *testing.T) {
-	withStore(t)
-	bench.ResetEngineRuns()
+	r := dirRunner(t)
+	before := bench.EngineRuns()
 
 	// 4 distinct cells × 3 configs each, all cells touched twice.
 	benches := []string{"qsort", "matrix"}
 	pesList := []int{1, 2}
 	var total int
 	for range []int{0, 1} { // two sweeps over the same cells
-		err := runGrid(context.Background(), len(benches)*len(pesList), func(i int) error {
+		err := r.runGrid(context.Background(), len(benches)*len(pesList), func(i int) error {
 			b, _ := bench.ByName(benches[i%len(benches)])
 			pes := pesList[i/len(benches)]
-			_, err := simulateAll(context.Background(), b, pes, pes == 1, testConfigs(pes)[:3])
+			_, err := r.simulateAll(context.Background(), b, pes, pes == 1, testConfigs(pes)[:3])
 			return err
 		})
 		if err != nil {
@@ -267,7 +251,7 @@ func TestParallelGenerationSingleFlight(t *testing.T) {
 		}
 		total += len(benches) * len(pesList)
 	}
-	if n := bench.EngineRuns(); n != int64(len(benches)*len(pesList)) {
+	if n := bench.EngineRuns() - before; n != int64(len(benches)*len(pesList)) {
 		t.Fatalf("%d cells over %d sweeps ran the emulator %d times, want once per cell (%d)",
 			total, 2, n, len(benches)*len(pesList))
 	}

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-
-	"repro/internal/experiments"
 )
 
 // benchServer builds a server with a warmed result cache for the given
@@ -21,7 +19,6 @@ func benchServer(b *testing.B, warmPath string) *httptest.Server {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { experiments.SetStore(nil) })
 	ts := httptest.NewServer(s.Handler())
 	b.Cleanup(ts.Close)
 	resp, err := http.Get(ts.URL + warmPath)
@@ -38,7 +35,7 @@ func benchServer(b *testing.B, warmPath string) *httptest.Server {
 
 // BenchmarkServiceWarm is the serving-layer load generator: sequential
 // warm-cache requests over real HTTP, reporting requests/s and p50/p99
-// latency (scripts/bench_service.sh records them in BENCH_service.json).
+// latency.
 func BenchmarkServiceWarm(b *testing.B) {
 	for _, tc := range []struct {
 		name, path string

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/storage"
 )
 
@@ -26,7 +25,6 @@ func newChaosServer(t *testing.T, f storage.Faults) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { experiments.SetStore(nil) })
 	return s
 }
 
@@ -48,7 +46,6 @@ func TestChaosByteIdentity(t *testing.T) {
 	for _, p := range paths {
 		golden[p] = append([]byte(nil), getOK(t, gs.Handler(), p).Body.Bytes()...)
 	}
-	experiments.SetStore(nil)
 
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -171,7 +168,6 @@ func TestLoadShedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { experiments.SetStore(nil) })
 	h := s.Handler()
 
 	type resp struct {
@@ -241,7 +237,6 @@ func TestSingleFlightRidesFreeThroughAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { experiments.SetStore(nil) })
 	h := s.Handler()
 
 	const n = 8
@@ -290,7 +285,6 @@ func TestComputeTimeout504(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { experiments.SetStore(nil) })
 	w := get(t, s.Handler(), "/v1/experiments/stuck")
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("stuck computation: status %d, want 504 (%s)", w.Code, w.Body.String())
@@ -320,7 +314,6 @@ func TestHealthzProbesComponents(t *testing.T) {
 	if body.Status != "ok" || body.Components["result_cache"] != "ok" || body.Components["trace_store"] != "ok" {
 		t.Fatalf("healthy server healthz: %s", w.Body.String())
 	}
-	experiments.SetStore(nil)
 
 	broken, err := New(Config{
 		ResultBackend: storage.NewFault(storage.NewMem(), storage.Faults{WriteErr: 1}),
@@ -329,7 +322,6 @@ func TestHealthzProbesComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { experiments.SetStore(nil) })
 	w2 := get(t, broken.Handler(), "/v1/healthz")
 	if w2.Code != http.StatusServiceUnavailable {
 		t.Fatalf("write-dead backend healthz: status %d, want 503 (%s)", w2.Code, w2.Body.String())
@@ -349,7 +341,6 @@ func TestDegradedServeWithoutCaching(t *testing.T) {
 	golden := newTestServer(t)
 	const path = "/v1/experiments/table2?pes=2"
 	want := append([]byte(nil), getOK(t, golden.Handler(), path).Body.Bytes()...)
-	experiments.SetStore(nil)
 
 	s, err := New(Config{
 		ResultBackend: storage.NewFault(storage.NewMem(), storage.Faults{WriteErr: 1}),
@@ -358,7 +349,6 @@ func TestDegradedServeWithoutCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { experiments.SetStore(nil) })
 	w := getOK(t, s.Handler(), path)
 	if !bytes.Equal(w.Body.Bytes(), want) {
 		t.Fatal("degraded body differs from golden")
@@ -400,11 +390,11 @@ func TestScrubRepairsBothStores(t *testing.T) {
 		}
 	}
 	damage(s.cache.Dir() + "/" + names[0])
-	traces, err := s.store.Backend().List("")
+	traces, err := s.TraceStore().Backend().List("")
 	if err != nil || len(traces) == 0 {
 		t.Fatalf("trace entries: %v, %v", traces, err)
 	}
-	damage(s.store.Dir() + "/" + traces[0])
+	damage(s.TraceStore().Dir() + "/" + traces[0])
 
 	sum := s.Scrub()
 	if len(sum.CacheReport.Quarantined) != 1 {

@@ -11,8 +11,7 @@ import (
 	"repro/internal/storage"
 )
 
-// Cluster-tier benchmarks (scripts/bench_cluster.sh records them in
-// BENCH_cluster.json): what a warm request costs when the answer is on
+// Cluster-tier benchmarks: what a warm request costs when the answer is on
 // this node's own disk, when it must be fetched from a peer, and when
 // the node has to proxy the whole compute to the cell's owner — the
 // three price points of the cluster read path.

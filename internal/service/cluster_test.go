@@ -13,24 +13,19 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/experiments"
 	"repro/internal/storage"
+	"repro/internal/tracestore"
 )
 
 // This file is the in-process multi-daemon cluster harness: N complete
-// rapwamd services, each over its own in-memory backend, wired to each
+// rapwamd services, each over its own in-memory backends (result cache
+// and trace store), wired to each
 // other through real HTTP (httptest listeners) exactly as a production
 // fleet would be — peer blob fetches, proxied computes and health
 // probes all cross real sockets. Nodes can be killed (connections
 // reset), restarted over their surviving storage, or restarted over
 // fresh storage (disk loss), and the peer wire can be made hostile by
 // injecting storage.Fault via Config.PeerWrap.
-//
-// The nodes deliberately run WITHOUT trace stores: the experiments
-// grid is process-global, so per-node trace stores would alias through
-// it and the harness would no longer model independent daemons.
-// Result caches are fully per-node, which is where all the cluster
-// machinery lives.
 
 // testNode is one fleet member: a fixed URL whose handler can be
 // swapped — the live server, or a connection-resetting tombstone when
@@ -41,6 +36,7 @@ type testNode struct {
 	hts     *httptest.Server
 	handler atomic.Pointer[http.Handler]
 	result  *storage.Mem
+	trace   *storage.Mem
 	srv     *Server
 }
 
@@ -57,10 +53,9 @@ type testFleet struct {
 // clean).
 func newTestFleet(t *testing.T, n int, wrap func(storage.Backend) storage.Backend) *testFleet {
 	t.Helper()
-	experiments.SetStore(nil)
 	f := &testFleet{t: t, wrap: wrap}
 	for i := 0; i < n; i++ {
-		nd := &testNode{result: storage.NewMem()}
+		nd := &testNode{result: storage.NewMem(), trace: storage.NewMem()}
 		nd.hts = newNodeListener(nd)
 		t.Cleanup(nd.hts.Close)
 		nd.url = nd.hts.URL
@@ -88,6 +83,7 @@ func (f *testFleet) boot(nd *testNode) {
 	f.t.Helper()
 	srv, err := New(Config{
 		ResultBackend: nd.result,
+		TraceBackend:  nd.trace,
 		Parallelism:   2,
 		Peers:         f.urls,
 		SelfURL:       nd.url,
@@ -124,7 +120,21 @@ func (f *testFleet) kill(i int) {
 // get performs one real-HTTP request against node i.
 func (f *testFleet) get(i int, path string) (*http.Response, []byte) {
 	f.t.Helper()
-	resp, err := http.Get(f.nodes[i].url + path)
+	return f.do(i, path, false)
+}
+
+// do performs one real-HTTP request against node i; local marks it as
+// already proxied, so node i serves it itself whoever owns the cell.
+func (f *testFleet) do(i int, path string, local bool) (*http.Response, []byte) {
+	f.t.Helper()
+	req, err := http.NewRequest(http.MethodGet, f.nodes[i].url+path, nil)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	if local {
+		req.Header.Set(proxyHeader, "1")
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		f.t.Fatalf("GET node%d %s: %v", i, path, err)
 	}
@@ -193,8 +203,7 @@ func corruptObject(t *testing.T, b storage.Backend, name string) {
 // emulates nothing anywhere.
 func TestClusterExactlyOnce(t *testing.T) {
 	f := newTestFleet(t, 3, nil)
-	experiments.ResetTraceCache()
-	bench.ResetEngineRuns()
+	before := bench.EngineRuns()
 
 	const path = "/v1/experiments/fig2?pes=1,2"
 	const clients = 48
@@ -223,7 +232,7 @@ func TestClusterExactlyOnce(t *testing.T) {
 		t.Fatalf("fleet performed %d computations for one cell, want exactly 1", n)
 	}
 	coldRuns := bench.EngineRuns()
-	if coldRuns == 0 {
+	if coldRuns == before {
 		t.Fatal("cold sweep ran no emulator at all")
 	}
 
@@ -243,6 +252,45 @@ func TestClusterExactlyOnce(t *testing.T) {
 	}
 	if got := bench.EngineRuns(); got != coldRuns {
 		t.Fatalf("warm round ran the emulator (%d -> %d runs)", coldRuns, got)
+	}
+}
+
+// TestClusterTraceTierPeerFetch: traces one node generated reach
+// another node through the trace tier. Node 1 computes an experiment
+// over the same cells node 0 already generated, fetches every trace
+// from node 0 instead of running the emulator, and writes the fetched
+// traces through to its own trace backend.
+func TestClusterTraceTierPeerFetch(t *testing.T) {
+	f := newTestFleet(t, 2, nil)
+	// Two fig4 cells that differ only in cache size need the same
+	// traces (every paper benchmark at 2 PEs). Each is computed at the
+	// node asked, whoever owns it.
+	if resp, body := f.do(0, "/v1/experiments/fig4?pes=2&sizes=256", true); resp.StatusCode != http.StatusOK {
+		t.Fatalf("node 0: status %d: %s", resp.StatusCode, body)
+	}
+	local := tracestore.NewOn(f.nodes[1].trace)
+	if n := f.nodes[1].trace.Len(); n != 0 {
+		t.Fatalf("node 1 trace backend holds %d objects before its first compute", n)
+	}
+
+	before := bench.EngineRuns()
+	resp, body := f.do(1, "/v1/experiments/fig4?pes=2&sizes=512", true)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("node 1: status %d: %s", resp.StatusCode, body)
+	}
+	if src := resp.Header.Get("X-Result-Source"); src != "computed" {
+		t.Fatalf("node 1 served from %q, want computed", src)
+	}
+	if n := bench.EngineRuns() - before; n != 0 {
+		t.Fatalf("node 1 ran the emulator %d times for traces node 0 holds", n)
+	}
+	for _, b := range bench.Paper() {
+		if k := bench.StoreKey(b.Name, 2, false); !local.Has(k) {
+			t.Errorf("node 1 trace backend lacks %v after the peer fetch", k)
+		}
+	}
+	if st := f.nodes[1].srv.traceTier.Stats(); st.PeerHits == 0 || st.WriteThroughs != st.PeerHits {
+		t.Fatalf("node 1 trace tier stats %+v, want peer hits all written through", st)
 	}
 }
 

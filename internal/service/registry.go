@@ -63,8 +63,9 @@ type Experiment struct {
 
 	// prepare validates and canonicalizes the request parameters and
 	// binds the computation. The returned run closure is only invoked
-	// on a cache miss, under the single-flight's context.
-	prepare func(q url.Values) (ps []param, run func(ctx context.Context) (any, error), err error)
+	// on a cache miss, under the single-flight's context, on the
+	// serving Server's Runner.
+	prepare func(q url.Values) (ps []param, run runFunc, err error)
 	// fresh returns a zero result pointer for decoding a cached
 	// envelope back into the typed result.
 	fresh func() any
@@ -73,6 +74,9 @@ type Experiment struct {
 	// text renders the typed result as the CLI's human-readable table.
 	text func(v any) string
 }
+
+// runFunc computes one experiment on a grid Runner.
+type runFunc func(ctx context.Context, r *experiments.Runner) (any, error)
 
 // Registry returns the experiment descriptors in serving order.
 func Registry() []*Experiment { return registry }
@@ -227,8 +231,8 @@ var registry = []*Experiment{
 	{
 		Name:    "table1",
 		Summary: "storage-object characteristics (paper Table 1; architecture constants, no emulation)",
-		prepare: func(q url.Values) ([]param, func(ctx context.Context) (any, error), error) {
-			return nil, func(context.Context) (any, error) {
+		prepare: func(q url.Values) ([]param, runFunc, error) {
+			return nil, func(context.Context, *experiments.Runner) (any, error) {
 				out := &Table1Result{}
 				for _, o := range trace.ObjTypes() {
 					loc := "Local"
@@ -261,7 +265,7 @@ var registry = []*Experiment{
 			{Name: "pes", Default: "", Doc: pesDoc + " (overrides maxpes)"},
 			{Name: "maxpes", Default: "16", Doc: "largest PE count of the default 1,2,4,8,12,... sweep"},
 		},
-		prepare: func(q url.Values) ([]param, func(ctx context.Context) (any, error), error) {
+		prepare: func(q url.Values) ([]param, runFunc, error) {
 			maxPEs, err := intParam(q, "maxpes", 16, 1, trace.MaxPEs)
 			if err != nil {
 				return nil, nil, err
@@ -271,8 +275,8 @@ var registry = []*Experiment{
 				return nil, nil, err
 			}
 			ps := []param{{"pes", ints(counts)}}
-			return ps, func(ctx context.Context) (any, error) {
-				return experiments.RunFigure2(ctx, counts)
+			return ps, func(ctx context.Context, r *experiments.Runner) (any, error) {
+				return r.RunFigure2(ctx, counts)
 			}, nil
 		},
 		fresh: func() any { return new(experiments.Figure2) },
@@ -292,14 +296,14 @@ var registry = []*Experiment{
 		Params: []ParamDoc{
 			{Name: "pes", Default: "8", Doc: fmt.Sprintf("PE count in [1, %d]", trace.MaxPEs)},
 		},
-		prepare: func(q url.Values) ([]param, func(ctx context.Context) (any, error), error) {
+		prepare: func(q url.Values) ([]param, runFunc, error) {
 			pes, err := intParam(q, "pes", 8, 1, trace.MaxPEs)
 			if err != nil {
 				return nil, nil, err
 			}
 			ps := []param{{"pes", strconv.Itoa(pes)}}
-			return ps, func(ctx context.Context) (any, error) {
-				return experiments.RunTable2(ctx, pes)
+			return ps, func(ctx context.Context, r *experiments.Runner) (any, error) {
+				return r.RunTable2(ctx, pes)
 			}, nil
 		},
 		fresh: func() any { return new(experiments.Table2) },
@@ -316,9 +320,9 @@ var registry = []*Experiment{
 	{
 		Name:    "table3",
 		Summary: "fit of small benchmarks to the large-benchmark locality (paper Table 3)",
-		prepare: func(q url.Values) ([]param, func(ctx context.Context) (any, error), error) {
-			return nil, func(ctx context.Context) (any, error) {
-				return experiments.RunTable3(ctx)
+		prepare: func(q url.Values) ([]param, runFunc, error) {
+			return nil, func(ctx context.Context, r *experiments.Runner) (any, error) {
+				return r.RunTable3(ctx)
 			}, nil
 		},
 		fresh: func() any { return new(experiments.Table3) },
@@ -349,7 +353,7 @@ var registry = []*Experiment{
 			{Name: "pes", Default: "1,2,4,8", Doc: pesDoc},
 			{Name: "sizes", Default: "64,128,256,512,1024,2048,4096,8192", Doc: "comma-separated cache sizes in words"},
 		},
-		prepare: func(q url.Values) ([]param, func(ctx context.Context) (any, error), error) {
+		prepare: func(q url.Values) ([]param, runFunc, error) {
 			pes, err := intListParam(q, "pes", []int{1, 2, 4, 8}, 1, trace.MaxPEs)
 			if err != nil {
 				return nil, nil, err
@@ -359,8 +363,8 @@ var registry = []*Experiment{
 				return nil, nil, err
 			}
 			ps := []param{{"pes", ints(pes)}, {"sizes", ints(sizes)}}
-			return ps, func(ctx context.Context) (any, error) {
-				return experiments.RunFigure4(ctx, pes, sizes)
+			return ps, func(ctx context.Context, r *experiments.Runner) (any, error) {
+				return r.RunFigure4(ctx, pes, sizes)
 			}, nil
 		},
 		fresh: func() any { return new(experiments.Figure4) },
@@ -383,7 +387,7 @@ var registry = []*Experiment{
 			{Name: "cache", Default: "256", Doc: "cache size in words for the capture ratio"},
 			{Name: "target", Default: "2", Doc: "MLIPS performance target"},
 		},
-		prepare: func(q url.Values) ([]param, func(ctx context.Context) (any, error), error) {
+		prepare: func(q url.Values) ([]param, runFunc, error) {
 			cacheWords, err := intParam(q, "cache", 256, 1, 1<<22)
 			if err != nil {
 				return nil, nil, err
@@ -393,8 +397,8 @@ var registry = []*Experiment{
 				return nil, nil, err
 			}
 			ps := []param{{"cache", strconv.Itoa(cacheWords)}, {"target", fs(target)}}
-			return ps, func(ctx context.Context) (any, error) {
-				return experiments.RunMLIPS(ctx, cacheWords, target)
+			return ps, func(ctx context.Context, r *experiments.Runner) (any, error) {
+				return r.RunMLIPS(ctx, cacheWords, target)
 			}, nil
 		},
 		fresh: func() any { return new(experiments.MLIPS) },
@@ -427,7 +431,7 @@ var registry = []*Experiment{
 			{Name: "bw", Default: "4", Doc: "bus words per cycle for the DES cross-check"},
 			{Name: "desbench", Default: "qsort", Doc: "benchmark replayed through the DES bus"},
 		},
-		prepare: func(q url.Values) ([]param, func(ctx context.Context) (any, error), error) {
+		prepare: func(q url.Values) ([]param, runFunc, error) {
 			pes, err := intParam(q, "pes", 8, 1, trace.MaxPEs)
 			if err != nil {
 				return nil, nil, err
@@ -451,12 +455,12 @@ var registry = []*Experiment{
 				{"bw", fs(bw)}, {"cache", strconv.Itoa(cacheWords)},
 				{"desbench", desBench}, {"pes", strconv.Itoa(pes)},
 			}
-			return ps, func(ctx context.Context) (any, error) {
-				study, err := experiments.RunBusStudy(ctx, pes, cacheWords)
+			return ps, func(ctx context.Context, r *experiments.Runner) (any, error) {
+				study, err := r.RunBusStudy(ctx, pes, cacheWords)
 				if err != nil {
 					return nil, err
 				}
-				des, err := experiments.RunBusDES(ctx, desBench, pes, cacheWords, bw)
+				des, err := r.RunBusDES(ctx, desBench, pes, cacheWords, bw)
 				if err != nil {
 					return nil, err
 				}
@@ -485,29 +489,29 @@ var registry = []*Experiment{
 		Params: []ParamDoc{
 			{Name: "pes", Default: "8", Doc: fmt.Sprintf("PE count for the lock-share study, in [1, %d]", trace.MaxPEs)},
 		},
-		prepare: func(q url.Values) ([]param, func(ctx context.Context) (any, error), error) {
+		prepare: func(q url.Values) ([]param, runFunc, error) {
 			pes, err := intParam(q, "pes", 8, 1, trace.MaxPEs)
 			if err != nil {
 				return nil, nil, err
 			}
 			ps := []param{{"pes", strconv.Itoa(pes)}}
-			return ps, func(ctx context.Context) (any, error) {
+			return ps, func(ctx context.Context, r *experiments.Runner) (any, error) {
 				out := &AblationsResult{}
 				var err error
-				if out.Granularity, err = experiments.RunGranularitySweep(ctx, []int{0, 1, 2, 3, 4, 6}); err != nil {
+				if out.Granularity, err = r.RunGranularitySweep(ctx, []int{0, 1, 2, 3, 4, 6}); err != nil {
 					return nil, err
 				}
-				if out.LineSize, err = experiments.RunLineSizeSweep(ctx, "qsort", 4, 1024, []int{1, 2, 4, 8, 16}); err != nil {
+				if out.LineSize, err = r.RunLineSizeSweep(ctx, "qsort", 4, 1024, []int{1, 2, 4, 8, 16}); err != nil {
 					return nil, err
 				}
 				for _, b := range []string{"deriv", "qsort", "matrix"} {
-					ls, err := experiments.RunLockShare(ctx, b, pes)
+					ls, err := r.RunLockShare(ctx, b, pes)
 					if err != nil {
 						return nil, err
 					}
 					out.LockShare = append(out.LockShare, ls)
 				}
-				if out.Assoc, err = experiments.RunAssocSweep(ctx, "qsort", 4, 1024, []int{1, 2, 4, 8, 0}); err != nil {
+				if out.Assoc, err = r.RunAssocSweep(ctx, "qsort", 4, 1024, []int{1, 2, 4, 8, 0}); err != nil {
 					return nil, err
 				}
 				return out, nil

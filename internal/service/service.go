@@ -25,17 +25,18 @@ type Config struct {
 	// ResultDir roots the content-addressed result cache (required
 	// unless ResultBackend is set).
 	ResultDir string
-	// TraceDir optionally attaches a persistent trace store, so cold
-	// experiment computations reuse (and warm) stored traces.
+	// TraceDir roots a persistent trace store, so cold experiment
+	// computations reuse (and warm) traces across restarts. Empty
+	// keeps the server's traces in memory for its lifetime.
 	TraceDir string
 	// ResultBackend / TraceBackend, when non-nil, override the
 	// directory backends — in-memory backends for tests, fault
-	// wrappers for chaos runs, networked backends later. A non-nil
-	// TraceBackend attaches a trace store even when TraceDir is "".
+	// wrappers for chaos runs, networked backends later. TraceBackend
+	// takes precedence over TraceDir.
 	ResultBackend storage.Backend
 	TraceBackend  storage.Backend
-	// Parallelism bounds the experiments grid worker pool (0 keeps the
-	// current setting).
+	// Parallelism bounds the server's experiments grid worker pool
+	// (0 means runtime.GOMAXPROCS(0)).
 	Parallelism int
 	// MaxComputes caps concurrent experiment computations (flights);
 	// 0 means unlimited. Cache hits are never throttled.
@@ -73,17 +74,18 @@ type Config struct {
 	// hostile.
 	PeerWrap func(b storage.Backend) storage.Backend
 	// Log, when non-nil, receives one line per notable server event
-	// (startup, compute begin/end, cache write failures, scrubs).
+	// (startup, compute begin/end, cache write failures, scrubs) and
+	// one "grid: ..." line per completed grid cell.
 	Log func(msg string)
 }
 
 // Server is the experiment results service: an http.Handler serving
 // the /v1 API over the result cache, admission gate, single-flight
-// group and experiments grid.
+// group and its own experiments grid Runner.
 type Server struct {
 	cfg     Config
 	cache   *ResultCache
-	store   *tracestore.Store
+	runner  *experiments.Runner
 	mux     *http.ServeMux
 	flights flightGroup
 	start   time.Time
@@ -108,15 +110,10 @@ type Server struct {
 	healthMu sync.Mutex
 }
 
-// New builds a Server: opens (creating if needed) the result cache,
-// attaches the trace store when configured, and wires the routes.
-//
-// The experiments grid the server computes on is process-global
-// (experiments.SetStore / SetParallelism), so run ONE server per
-// process: constructing a second server with a different TraceDir
-// rewires the first one's compute path to the new store. Sequential
-// construction over the same directories (the restart pattern, and
-// what the tests do) is fine.
+// New builds a Server: opens (creating if needed) the result cache
+// and trace store, builds the server's grid Runner over them, and
+// wires the routes. Servers share no grid state, so any number can
+// run in one process.
 func New(cfg Config) (*Server, error) {
 	tempAge := cfg.StaleTempAge
 	if tempAge <= 0 {
@@ -147,6 +144,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("tracestore: %w", err)
 		}
 		localTrace = d
+	default:
+		localTrace = storage.NewMem()
 	}
 
 	s := &Server{cfg: cfg, start: time.Now()}
@@ -165,24 +164,18 @@ func New(cfg Config) (*Server, error) {
 	if clu != nil {
 		s.resultTier = storage.NewTiered(localResult, clu.peerBackend("results", cfg.PeerWrap))
 		resultB = s.resultTier
-		if localTrace != nil {
-			s.traceTier = storage.NewTiered(localTrace, clu.peerBackend("traces", cfg.PeerWrap))
-			traceB = s.traceTier
-		}
+		s.traceTier = storage.NewTiered(localTrace, clu.peerBackend("traces", cfg.PeerWrap))
+		traceB = s.traceTier
 	}
 	s.cache = NewResultCacheOn(resultB)
-	if traceB != nil {
-		s.store = tracestore.NewOn(traceB)
+	var progress func(string)
+	if cfg.Log != nil {
+		progress = func(msg string) { cfg.Log("grid: " + msg) }
 	}
+	s.runner = experiments.NewRunner(tracestore.NewOn(traceB), cfg.Parallelism, progress)
 
 	s.flights.adm = newAdmission(cfg.MaxComputes, cfg.MaxQueue)
 	s.flights.timeout = cfg.ComputeTimeout
-	if s.store != nil {
-		experiments.SetStore(s.store)
-	}
-	if cfg.Parallelism != 0 {
-		experiments.SetParallelism(cfg.Parallelism)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -195,9 +188,7 @@ func New(cfg Config) (*Server, error) {
 	// wrapper — means a miss here is final: peers cannot bounce a
 	// lookup around the fleet.
 	mux.Handle("/v1/blobs/results/", http.StripPrefix("/v1/blobs/results/", storage.BlobHandler(localResult)))
-	if localTrace != nil {
-		mux.Handle("/v1/blobs/traces/", http.StripPrefix("/v1/blobs/traces/", storage.BlobHandler(localTrace)))
-	}
+	mux.Handle("/v1/blobs/traces/", http.StripPrefix("/v1/blobs/traces/", storage.BlobHandler(localTrace)))
 	s.mux = mux
 	return s, nil
 }
@@ -216,9 +207,8 @@ func (s *Server) Handler() http.Handler {
 // ResultCache exposes the server's result cache (stats, tests).
 func (s *Server) ResultCache() *ResultCache { return s.cache }
 
-// TraceStore exposes the server's trace store (nil when none is
-// attached).
-func (s *Server) TraceStore() *tracestore.Store { return s.store }
+// TraceStore exposes the server's trace store.
+func (s *Server) TraceStore() *tracestore.Store { return s.runner.Store }
 
 // Computes returns how many experiment computations (cache fills) the
 // server has performed — the observable that verifies single-flight
@@ -277,9 +267,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	probe("result_cache", localBackend(s.cache.Backend()))
-	if s.store != nil {
-		probe("trace_store", localBackend(s.store.Backend()))
-	}
+	probe("trace_store", localBackend(s.runner.Store.Backend()))
 	if s.cluster != nil {
 		// Peer reachability is informational: a dead peer degrades the
 		// cluster tier (this node falls back to local compute), it does
@@ -318,7 +306,7 @@ type statsBody struct {
 	DegradedServes  int64             `json:"degraded_serves"`
 	EngineRuns      int64             `json:"engine_runs"`
 	ResultCache     CacheStats        `json:"result_cache"`
-	TraceStore      *tracestore.Stats `json:"trace_store,omitempty"`
+	TraceStore      tracestore.Stats  `json:"trace_store"`
 	Cluster         *clusterStatsBody `json:"cluster,omitempty"`
 	EmulatorVersion string            `json:"emulator_version"`
 	CodecVersion    int               `json:"codec_version"`
@@ -337,13 +325,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DegradedServes:  s.degraded.Load(),
 		EngineRuns:      bench.EngineRuns(),
 		ResultCache:     s.cache.Stats(),
+		TraceStore:      s.runner.Store.Stats(),
 		EmulatorVersion: core.EmulatorVersion,
 		CodecVersion:    trace.CodecVersion,
-		Parallelism:     experiments.Parallelism(),
-	}
-	if s.store != nil {
-		st := s.store.Stats()
-		body.TraceStore = &st
+		Parallelism:     s.runner.Parallelism(),
 	}
 	if s.cluster != nil {
 		cb := &clusterStatsBody{
@@ -474,7 +459,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // (cancelled cells are evicted from every memo layer), or in the worst
 // case joins another doomed flight and loops again. Shed and
 // compute-timeout errors are final — never retried here.
-func (s *Server) compute(ctx context.Context, key CacheKey, ps []param, run func(context.Context) (any, error), proxied bool) (flightResult, error) {
+func (s *Server) compute(ctx context.Context, key CacheKey, ps []param, run runFunc, proxied bool) (flightResult, error) {
 	for {
 		res, err := s.computeOnce(ctx, key, ps, run, proxied)
 		if err != nil && ctx.Err() == nil &&
@@ -485,7 +470,7 @@ func (s *Server) compute(ctx context.Context, key CacheKey, ps []param, run func
 	}
 }
 
-func (s *Server) computeOnce(ctx context.Context, key CacheKey, ps []param, run func(context.Context) (any, error), proxied bool) (flightResult, error) {
+func (s *Server) computeOnce(ctx context.Context, key CacheKey, ps []param, run runFunc, proxied bool) (flightResult, error) {
 	return s.flights.do(ctx, key.hash(), func(cctx context.Context) (flightResult, error) {
 		// Double check under the flight: a racing request may have
 		// completed (and cached) this cell between our miss and this
@@ -521,7 +506,7 @@ func (s *Server) computeOnce(ctx context.Context, key CacheKey, ps []param, run 
 		s.computes.Add(1)
 		s.logf("computing %s?%s", key.Experiment, key.Params)
 		t0 := time.Now()
-		v, err := run(cctx)
+		v, err := run(cctx, s.runner)
 		if err != nil {
 			s.logf("compute %s?%s failed after %v: %v", key.Experiment, key.Params, time.Since(t0), err)
 			return flightResult{}, err
@@ -615,11 +600,7 @@ func traceBody(meta trace.Meta, size int64) traceEntryBody {
 }
 
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		s.fail(w, http.StatusNotFound, "no trace store attached (start rapwamd with -tracedir)")
-		return
-	}
-	entries, err := s.store.List()
+	entries, err := s.runner.Store.List()
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, "listing trace store: %v", err)
 		return
@@ -636,10 +617,6 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 // missing cell is a 404 (warm it with tracegen or by requesting an
 // experiment that needs it).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		s.fail(w, http.StatusNotFound, "no trace store attached (start rapwamd with -tracedir)")
-		return
-	}
 	name := r.PathValue("bench")
 	if _, ok := bench.ByName(name); !ok {
 		s.fail(w, http.StatusNotFound, "unknown benchmark %q", name)
@@ -660,7 +637,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k := bench.StoreKey(name, pes, mode == "seq")
-	meta, size, err := s.store.Meta(k)
+	meta, size, err := s.runner.Store.Meta(k)
 	if err != nil {
 		s.fail(w, http.StatusNotFound, "trace %v not stored: %v", k, err)
 		return
@@ -670,8 +647,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // ScrubSummary reports one Server.Scrub pass across both stores.
 type ScrubSummary struct {
-	// TraceReport is the trace store's scrub result (zero when no
-	// store is attached).
+	// TraceReport is the trace store's scrub result.
 	TraceReport tracestore.ScrubReport
 	// CacheReport is the result cache's scrub result.
 	CacheReport CacheScrubReport
@@ -692,10 +668,8 @@ func (s *Server) Scrub() ScrubSummary {
 	var sum ScrubSummary
 	sum.CacheReport = s.cache.Scrub()
 	sum.Swept += s.cache.Sweep(tempAge)
-	if s.store != nil {
-		sum.TraceReport = s.store.Scrub()
-		sum.Swept += s.store.Sweep(tempAge)
-	}
+	sum.TraceReport = s.runner.Store.Scrub()
+	sum.Swept += s.runner.Store.Sweep(tempAge)
 	if n := len(sum.TraceReport.Quarantined) + len(sum.CacheReport.Quarantined); n > 0 || sum.Swept > 0 {
 		s.logf("scrub: %d checked, %d quarantined, %d swept",
 			sum.TraceReport.Checked+sum.CacheReport.Checked, n, sum.Swept)

@@ -20,11 +20,11 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/experiments"
+	"repro/internal/storage"
 )
 
 // newTestServer builds a server over fresh temp directories (its own
-// result cache and trace store) and detaches the global trace store on
-// cleanup.
+// result cache and trace store).
 func newTestServer(t *testing.T) *Server {
 	t.Helper()
 	return newTestServerAt(t, t.TempDir(), t.TempDir())
@@ -36,7 +36,6 @@ func newTestServerAt(t *testing.T, resultDir, traceDir string) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { experiments.SetStore(nil) })
 	return s
 }
 
@@ -95,8 +94,8 @@ func newBlockingExperiment(t *testing.T, name string) *blockingExperiment {
 	b.exp = &Experiment{
 		Name:    name,
 		Summary: "test-only blocking experiment",
-		prepare: func(q url.Values) ([]param, func(context.Context) (any, error), error) {
-			return nil, func(ctx context.Context) (any, error) {
+		prepare: func(q url.Values) ([]param, runFunc, error) {
+			return nil, func(ctx context.Context, _ *experiments.Runner) (any, error) {
 				b.started <- struct{}{}
 				select {
 				case <-ctx.Done():
@@ -146,7 +145,7 @@ func TestHealthzAndStats(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatalf("stats body: %v", err)
 	}
-	if st.Requests < 1 || st.EmulatorVersion == "" || st.TraceStore == nil {
+	if st.Requests < 1 || st.EmulatorVersion == "" || !strings.Contains(w.Body.String(), `"trace_store":`) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -329,6 +328,59 @@ func TestTraceEndpoints(t *testing.T) {
 	}
 }
 
+// TestServersKeepTheirOwnTraceStores: two servers in one process — one
+// over an explicit in-memory trace backend, one with no trace
+// configuration — compute the same experiment, each into its own trace
+// store. Neither sees the other's writes, so each runs the emulator
+// for its own cells.
+func TestServersKeepTheirOwnTraceStores(t *testing.T) {
+	memA := storage.NewMem()
+	a, err := New(Config{ResultBackend: storage.NewMem(), TraceBackend: memA, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(Config{ResultBackend: storage.NewMem(), Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeB := b.TraceStore()
+	if storeB == nil {
+		t.Fatal("server without trace configuration has no trace store")
+	}
+	const path = "/v1/experiments/fig2?pes=2" // cells deriv@1 seq, deriv@2 par
+	cells := func(name string, s *Server) int {
+		t.Helper()
+		entries, err := s.TraceStore().List()
+		if err != nil {
+			t.Fatalf("listing server %s's traces: %v", name, err)
+		}
+		return len(entries)
+	}
+
+	bodyB := getOK(t, b.Handler(), path).Body.Bytes()
+	if n := memA.Len(); n != 0 {
+		t.Fatalf("server B's compute wrote %d objects into server A's trace backend", n)
+	}
+	if n := cells("B", b); n != 2 {
+		t.Fatalf("server B holds %d cells after its compute, want 2", n)
+	}
+
+	before := bench.EngineRuns()
+	bodyA := getOK(t, a.Handler(), path).Body.Bytes()
+	if bench.EngineRuns() == before {
+		t.Fatal("server A computed without running the emulator: it saw server B's traces")
+	}
+	if n := cells("A", a); n != 2 {
+		t.Fatalf("server A holds %d cells after its compute, want 2", n)
+	}
+	if st := storeB.Stats(); st.Puts != 2 {
+		t.Fatalf("server B's store saw %d trace writes, want its own 2", st.Puts)
+	}
+	if !bytes.Equal(bodyA, bodyB) {
+		t.Fatal("the two servers' bodies differ")
+	}
+}
+
 // TestSingleFlight is the acceptance test for concurrent deduplication:
 // 32 concurrent identical cold requests perform exactly one
 // computation and receive byte-identical bodies; the engine-run cost
@@ -338,7 +390,7 @@ func TestSingleFlight(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	bench.ResetEngineRuns()
+	before := bench.EngineRuns()
 	const n = 32
 	bodies := make([][]byte, n)
 	errs := make([]error, n)
@@ -375,7 +427,7 @@ func TestSingleFlight(t *testing.T) {
 		t.Fatalf("%d concurrent identical requests performed %d computations, want 1", n, got)
 	}
 	coldRuns := bench.EngineRuns()
-	if coldRuns == 0 {
+	if coldRuns == before {
 		t.Fatal("cold computation performed no engine runs — test is vacuous")
 	}
 
@@ -608,7 +660,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatal("in-flight request never completed")
 	}
 	// Neither store carries temp droppings after shutdown.
-	for _, dir := range []string{s.cache.Dir(), s.store.Dir()} {
+	for _, dir := range []string{s.cache.Dir(), s.TraceStore().Dir()} {
 		assertNoTemps(t, dir)
 	}
 }

@@ -49,6 +49,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/compile"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -261,9 +262,11 @@ func RunBenchmark(ctx context.Context, b Benchmark, pes int, sequential bool) (*
 	return newResult(res), nil
 }
 
-// TraceBenchmark runs a benchmark capturing its memory trace.
+// TraceBenchmark returns a benchmark's memory trace from the attached
+// trace store (SetTraceStore), running the emulator only when the
+// store lacks the cell.
 func TraceBenchmark(ctx context.Context, b Benchmark, pes int, sequential bool) (*Trace, error) {
-	buf, _, err := bench.Trace(ctx, b, pes, sequential)
+	buf, err := experiments.Default().Trace(ctx, b, pes, sequential)
 	if err != nil {
 		return nil, err
 	}

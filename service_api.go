@@ -31,11 +31,12 @@ type ServeConfig struct {
 	Listener net.Listener
 	// ResultDir roots the content-addressed result cache (required).
 	ResultDir string
-	// TraceDir optionally attaches a persistent trace store so cold
-	// computations reuse — and warm — stored traces.
+	// TraceDir roots a persistent trace store so cold computations
+	// reuse — and warm — stored traces across restarts. Empty keeps
+	// the service's traces in memory.
 	TraceDir string
-	// Parallelism bounds the experiments grid worker pool (0 keeps the
-	// current setting).
+	// Parallelism bounds the service's experiments grid worker pool
+	// (0 means runtime.GOMAXPROCS(0)).
 	Parallelism int
 	// MaxComputes caps concurrent experiment computations; 0 means
 	// unlimited. Cache hits and joins of an in-flight identical
