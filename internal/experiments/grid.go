@@ -191,7 +191,7 @@ func (r *Runner) replay(ctx context.Context, b bench.Benchmark, pes int, sequent
 				_, err := r.Store.Replay(k, sinks[0])
 				return err
 			}
-			f := trace.NewFanOut(trace.FanOutConfig{}, sinks...)
+			f := trace.NewFanOut(sinks...)
 			_, err = r.Store.Replay(k, f)
 			f.Close()
 			return err

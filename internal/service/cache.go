@@ -136,19 +136,13 @@ type ResultCache struct {
 }
 
 // OpenResultCache creates (if needed) and opens a result cache
-// directory with the default sweep age. See OpenResultCacheDir.
-func OpenResultCache(dir string) (*ResultCache, error) {
-	return OpenResultCacheDir(dir, tracestore.StaleTempAge)
-}
-
-// OpenResultCacheDir creates (if needed) and opens a result cache
 // directory, sweeping stale *.tmp droppings left by a killed writer
 // and aged quarantined entries (same hygiene as tracestore.OpenDir).
-func OpenResultCacheDir(dir string, tempAge time.Duration) (*ResultCache, error) {
+func OpenResultCache(dir string) (*ResultCache, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("service: empty result cache directory")
 	}
-	d, err := storage.NewDir(dir, tempAge)
+	d, err := storage.NewDir(dir, tracestore.StaleTempAge)
 	if err != nil {
 		return nil, fmt.Errorf("service: result cache: %w", err)
 	}

@@ -118,9 +118,10 @@ func (c *cluster) ownerOf(hash string) string {
 }
 
 // reachable counts members of others answering their blob API within
-// timeout (healthz reporting; peer state is informational — a dead
-// peer degrades the cluster tier, it does not make this node
-// unhealthy).
+// timeout: any non-5xx answer is up, and the probe's HEAD of the
+// namespace root costs the peer one 400 (healthz reporting; peer state
+// is informational — a dead peer degrades the cluster tier, it does
+// not make this node unhealthy).
 func (c *cluster) reachable(timeout time.Duration) (up, total int) {
 	total = len(c.others)
 	for _, o := range c.others {

@@ -1,17 +1,15 @@
 package storage
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -53,12 +51,15 @@ func Rendezvous(key string, nodes []string) []string {
 // owner first, so the common warm fetch is one round trip. A name no
 // node has is a miss (fs.ErrNotExist); any transport failure without a
 // hit is a TransientError, never corruption, so a flaky network cannot
-// get healthy objects quarantined. Put goes to the rendezvous owner
-// only; Delete and Rename fan out to every node; List unions all
-// nodes; Sweep asks each node to sweep itself.
+// get healthy objects quarantined.
 //
-// Peer holds no local state — compose it behind a local backend with
-// NewTiered for the read-through/write-through cluster tier.
+// Peer is read-only, as BlobHandler is: Put, Delete, Rename and List
+// return a backend *Error and Sweep removes nothing. Every object is a
+// pure function of its key, so a node only ever needs to read another
+// node's copy; it writes what it computes or fetches into its own
+// local store. Peer holds no local state — compose it behind a local
+// backend with NewTiered for the read-through/write-through cluster
+// tier.
 type Peer struct {
 	client *http.Client
 	nodes  []string
@@ -66,9 +67,9 @@ type Peer struct {
 
 // NewPeer returns a Peer over the given node base URLs (trailing
 // slashes are trimmed). A nil client gets a 10-second timeout default.
-// An empty node list is legal and behaves as an always-missing,
-// unwritable backend, so "no peers configured" needs no special-casing
-// in callers.
+// An empty node list is legal and behaves as an always-missing
+// backend, so "no peers configured" needs no special-casing in
+// callers.
 func NewPeer(client *http.Client, nodes []string) *Peer {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
@@ -83,15 +84,9 @@ func NewPeer(client *http.Client, nodes []string) *Peer {
 // Name implements Backend.
 func (p *Peer) Name() string { return "peer(" + strings.Join(p.nodes, ",") + ")" }
 
-// Nodes returns the configured node base URLs.
-func (p *Peer) Nodes() []string { return append([]string(nil), p.nodes...) }
-
 // objectURL builds the blob URL for name on node, escaping each path
 // segment (names may contain slashes: "quarantine/...").
 func objectURL(node, name string) string {
-	if name == "" {
-		return node + "/"
-	}
 	segs := strings.Split(name, "/")
 	for i, s := range segs {
 		segs[i] = url.PathEscape(s)
@@ -186,175 +181,31 @@ func (p *Peer) Stat(name string) (Info, error) {
 	return Info{}, p.notExist("stat", name)
 }
 
-// Put implements Backend: the callback writes into a detached seekable
-// buffer (nothing leaves this process unless it succeeds — the remote
-// can never observe a failed or panicking write), then the complete
-// object is PUT to the rendezvous owner in one request. The owner's
-// own backend makes the commit atomic.
+// errReadOnly is the refusal every Peer mutation returns.
+var errReadOnly = errors.New("peer tier is read-only")
+
+// readOnly builds the refusal for one mutating operation: a backend
+// *Error, so callers treat it as a storage-layer failure, not a miss.
+func (p *Peer) readOnly(op, name string) error {
+	return &Error{Op: op, Backend: p.Name(), Name: name, Err: errReadOnly}
+}
+
+// Put implements Backend by refusing: the peer tier is read-only.
 func (p *Peer) Put(name string, write func(w io.Writer) error) error {
-	if !ValidName(name) {
-		return &Error{Op: "put", Backend: p.Name(), Name: name, Err: fmt.Errorf("invalid object name")}
-	}
-	if len(p.nodes) == 0 {
-		return Transient(fmt.Errorf("peer put %q: no peer nodes configured", name))
-	}
-	w := &memWriter{}
-	if err := write(w); err != nil {
-		return err
-	}
-	owner := Rendezvous(name, p.nodes)[0]
-	req, err := http.NewRequest(http.MethodPut, objectURL(owner, name), bytes.NewReader(w.buf))
-	if err != nil {
-		return wrapOp(p.Name(), "put", name, err)
-	}
-	req.ContentLength = int64(len(w.buf))
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return Transient(fmt.Errorf("peer put %q: %w", name, err))
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return Transient(fmt.Errorf("peer put %q: %s: status %s", name, owner, resp.Status))
-	}
-	return nil
+	return p.readOnly("put", name)
 }
 
-// Delete implements Backend, fanning out to every node (an object may
-// have been written through on several). Any successful delete makes
-// the whole delete succeed; all nodes missing it is fs.ErrNotExist.
-func (p *Peer) Delete(name string) error {
-	var lastErr error
-	found := false
-	for _, node := range p.nodes {
-		req, err := http.NewRequest(http.MethodDelete, objectURL(node, name), nil)
-		if err != nil {
-			return wrapOp(p.Name(), "delete", name, err)
-		}
-		resp, err := p.client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode/100 == 2:
-			found = true
-		case resp.StatusCode == http.StatusNotFound:
-			// fine
-		default:
-			lastErr = fmt.Errorf("%s: status %s", node, resp.Status)
-		}
-	}
-	if found {
-		return nil
-	}
-	if lastErr != nil {
-		return Transient(fmt.Errorf("peer delete %q: %w", name, lastErr))
-	}
-	return p.notExist("delete", name)
-}
+// Delete implements Backend by refusing: the peer tier is read-only.
+func (p *Peer) Delete(name string) error { return p.readOnly("delete", name) }
 
-// Rename implements Backend, fanning out to every node so quarantining
-// a corrupt object removes it from serving everywhere it exists.
-func (p *Peer) Rename(old, new string) error {
-	if !ValidName(new) {
-		return &Error{Op: "rename", Backend: p.Name(), Name: new, Err: fmt.Errorf("invalid object name")}
-	}
-	var lastErr error
-	found := false
-	for _, node := range p.nodes {
-		u := objectURL(node, old) + "?op=rename&to=" + url.QueryEscape(new)
-		resp, err := p.client.Post(u, "", nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode/100 == 2:
-			found = true
-		case resp.StatusCode == http.StatusNotFound:
-			// fine
-		default:
-			lastErr = fmt.Errorf("%s: status %s", node, resp.Status)
-		}
-	}
-	if found {
-		return nil
-	}
-	if lastErr != nil {
-		return Transient(fmt.Errorf("peer rename %q: %w", old, lastErr))
-	}
-	return p.notExist("rename", old)
-}
+// Rename implements Backend by refusing: the peer tier is read-only.
+func (p *Peer) Rename(old, new string) error { return p.readOnly("rename", old) }
 
-// List implements Backend, unioning every node's listing (sorted,
-// deduplicated). A node that cannot answer makes the whole listing
-// transient — a silently partial listing would let a scrubber conclude
-// objects are gone.
-func (p *Peer) List(prefix string) ([]string, error) {
-	seen := make(map[string]bool)
-	for _, node := range p.nodes {
-		resp, err := p.client.Get(node + "/?prefix=" + url.QueryEscape(prefix))
-		if err != nil {
-			return nil, Transient(fmt.Errorf("peer list %q: %w", prefix, err))
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return nil, Transient(fmt.Errorf("peer list %q: %s: status %s", prefix, node, resp.Status))
-		}
-		var body struct {
-			Objects []struct {
-				Name string `json:"name"`
-			} `json:"objects"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, Transient(fmt.Errorf("peer list %q: %s: %w", prefix, node, err))
-		}
-		for _, o := range body.Objects {
-			seen[o.Name] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	return sortedNames(names), nil
-}
+// List implements Backend by refusing: the peer tier is read-only and
+// unlisted.
+func (p *Peer) List(prefix string) ([]string, error) { return nil, p.readOnly("list", prefix) }
 
-// Sweep implements Backend: ask each node to sweep itself, summing
-// what they report. Best-effort, like every Sweep.
-func (p *Peer) Sweep(olderThan time.Duration) int {
-	total := 0
-	for _, node := range p.nodes {
-		u := node + "/?op=sweep&older-than=" + url.QueryEscape(olderThan.String())
-		resp, err := p.client.Post(u, "", nil)
-		if err != nil {
-			continue
-		}
-		var body struct {
-			Removed int `json:"removed"`
-		}
-		if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&body) == nil {
-			total += body.Removed
-		}
-		resp.Body.Close()
-	}
-	return total
-}
+// Sweep implements Backend as a no-op: a node sweeps only its own store.
+func (p *Peer) Sweep(time.Duration) int { return 0 }
 
 var _ Backend = (*Peer)(nil)
-
-// parseOlderThan parses the sweep cutoff accepted by the blob API:
-// a Go duration ("24h") or a bare integer of seconds.
-func parseOlderThan(s string) (time.Duration, error) {
-	if d, err := time.ParseDuration(s); err == nil {
-		return d, nil
-	}
-	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return time.Duration(n) * time.Second, nil
-	}
-	return 0, fmt.Errorf("invalid older-than %q", s)
-}

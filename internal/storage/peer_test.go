@@ -64,15 +64,8 @@ func TestPeerAllNodesDownIsTransient(t *testing.T) {
 	if errors.Is(func() error { _, err := p.Get("a.bin"); return err }(), fs.ErrNotExist) {
 		t.Fatal("an unreachable fleet must not read as a miss")
 	}
-	err := p.Put("a.bin", func(w io.Writer) error {
-		_, err := io.WriteString(w, "x")
-		return err
-	})
-	if !storage.IsTransient(err) {
-		t.Fatalf("put with all peers down must be transient, got %v", err)
-	}
-	if _, err := p.List(""); !storage.IsTransient(err) {
-		t.Fatalf("list with a node down must be transient, got %v", err)
+	if _, err := p.Stat("a.bin"); !storage.IsTransient(err) {
+		t.Fatalf("stat with all peers down must be transient, got %v", err)
 	}
 }
 
@@ -84,13 +77,12 @@ func TestPeerNoNodesIsAlwaysMiss(t *testing.T) {
 	if _, err := p.Stat("a.bin"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("stat with no nodes: %v", err)
 	}
-	names, err := p.List("")
-	if err != nil || len(names) != 0 {
-		t.Fatalf("list with no nodes: %v, %v", names, err)
-	}
 }
 
 func TestPeerPutFailedCallbackSendsNothing(t *testing.T) {
+	// The peer tier is read-only: every mutation is refused locally as
+	// a backend error — never a miss, never transient — without running
+	// the write callback or sending a request.
 	requests := 0
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		requests++
@@ -98,12 +90,27 @@ func TestPeerPutFailedCallbackSendsNothing(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 	p := storage.NewPeer(peerClient(), []string{srv.URL})
-	boom := errors.New("generator exploded")
-	if err := p.Put("a.bin", func(w io.Writer) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("put must return the callback error, got %v", err)
+	ran := false
+	_, listErr := p.List("")
+	for op, err := range map[string]error{
+		"put":    p.Put("a.bin", func(w io.Writer) error { ran = true; return errors.New("generator exploded") }),
+		"delete": p.Delete("a.bin"),
+		"rename": p.Rename("a.bin", storage.QuarantinePrefix+"a.bin"),
+		"list":   listErr,
+	} {
+		var se *storage.Error
+		if !errors.As(err, &se) || errors.Is(err, fs.ErrNotExist) || storage.IsTransient(err) {
+			t.Errorf("%s: got %v, want a read-only *storage.Error", op, err)
+		}
+	}
+	if n := p.Sweep(0); n != 0 {
+		t.Errorf("sweep removed %d objects through a peer", n)
+	}
+	if ran {
+		t.Error("put ran its write callback")
 	}
 	if requests != 0 {
-		t.Fatalf("failed put callback reached the wire: %d requests", requests)
+		t.Fatalf("peer mutations reached the wire: %d requests", requests)
 	}
 }
 
@@ -150,18 +157,15 @@ func TestPeerReadsPreferOwner(t *testing.T) {
 func TestBlobHandlerRejectsEscapes(t *testing.T) {
 	srv := httptest.NewServer(http.StripPrefix("/", storage.BlobHandler(storage.NewMem())))
 	t.Cleanup(srv.Close)
-	for _, path := range []string{"/..%2Fescape.bin", "/a%2F..%2F..%2Fb"} {
-		req, err := http.NewRequest(http.MethodPut, srv.URL+path, strings.NewReader("x"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
+	// The namespace root is no listing: an empty name is invalid too.
+	for _, path := range []string{"/..%2Fescape.bin", "/a%2F..%2F..%2Fb", "/"} {
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("PUT %s: status %d, want 400", path, resp.StatusCode)
+			t.Fatalf("GET %s: status %d, want 400", path, resp.StatusCode)
 		}
 	}
 }

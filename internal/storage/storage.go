@@ -17,9 +17,10 @@
 //     temp file + atomic rename (concurrent writers race benignly,
 //     readers only observe complete objects);
 //   - Mem — an in-memory backend for tests and benchmarks;
-//   - Peer — an HTTP client backend over the blob protocol other
-//     rapwamd nodes serve (BlobHandler), reads routed owner-first by
-//     rendezvous hashing;
+//   - Peer — a read-only HTTP client backend over the blob protocol
+//     other rapwamd nodes serve (BlobHandler, GET/HEAD only): reads
+//     are routed owner-first by rendezvous hashing, and every mutation
+//     is refused, since each node writes only its own local store;
 //   - Tiered — local-first composition with peer-fetch + local
 //     write-through on miss: the cluster read tier;
 //   - Fault — a deterministic fault-injection wrapper over any inner
@@ -28,11 +29,10 @@
 //     store and serving path can be tested against a hostile disk or
 //     wire.
 //
-// NewRetry adds bounded retry-with-backoff for transient errors around
-// any backend. Higher layers classify errors with IsTransient (worth
-// retrying, not evidence of corruption) and AsBackendError (the
-// storage layer itself failed — degrade to compute-without-caching
-// rather than failing the request).
+// Higher layers classify errors with IsTransient (worth retrying, not
+// evidence of corruption) and AsBackendError (the storage layer itself
+// failed — degrade to compute-without-caching rather than failing the
+// request).
 package storage
 
 import (

@@ -14,21 +14,14 @@ type BatchSink interface {
 	AddBatch(refs []Ref)
 }
 
-// FanOutConfig tunes the concurrent dispatcher. The zero value selects
-// sensible defaults.
-type FanOutConfig struct {
-	// ChunkRefs is the number of references per dispatch batch
-	// (default 8192). Larger chunks amortize channel operations;
-	// smaller ones reduce consumer latency.
-	ChunkRefs int
-	// Depth is the per-consumer channel buffer in chunks (default 4):
-	// how far a fast producer may run ahead of the slowest consumer.
-	Depth int
-}
-
 const (
-	defaultChunkRefs = 8192
-	defaultDepth     = 4
+	// fanOutChunkRefs is the number of references per dispatch batch.
+	// Larger chunks amortize channel operations; smaller ones reduce
+	// consumer latency.
+	fanOutChunkRefs = 8192
+	// fanOutDepth is the per-consumer channel buffer in chunks: how far
+	// a fast producer may run ahead of the slowest consumer.
+	fanOutDepth = 4
 )
 
 // FanOut is the concurrent fan-out dispatcher: it accepts a single
@@ -61,19 +54,17 @@ type FanOut struct {
 
 // NewFanOut starts one consumer goroutine per sink and returns the
 // dispatcher. A FanOut with no sinks is valid and discards everything.
-func NewFanOut(cfg FanOutConfig, sinks ...Sink) *FanOut {
-	if cfg.ChunkRefs <= 0 {
-		cfg.ChunkRefs = defaultChunkRefs
-	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = defaultDepth
-	}
+func NewFanOut(sinks ...Sink) *FanOut { return newFanOut(fanOutChunkRefs, sinks...) }
+
+// newFanOut is NewFanOut with an explicit chunk size, so tests can
+// drive the chunk boundaries with small traces.
+func newFanOut(chunkRefs int, sinks ...Sink) *FanOut {
 	f := &FanOut{
 		chans:     make([]chan []Ref, len(sinks)),
-		chunkRefs: cfg.ChunkRefs,
+		chunkRefs: chunkRefs,
 	}
 	for i, s := range sinks {
-		ch := make(chan []Ref, cfg.Depth)
+		ch := make(chan []Ref, fanOutDepth)
 		f.chans[i] = ch
 		f.wg.Add(1)
 		go consume(&f.wg, ch, s)
@@ -226,7 +217,7 @@ func (b *Buffer) ReplayAll(sinks ...Sink) {
 		b.Replay(sinks[0])
 		return
 	}
-	f := NewFanOut(FanOutConfig{}, sinks...)
+	f := NewFanOut(sinks...)
 	f.AddBatchStable(b.Refs) // the buffer is immutable for the duration
 	f.Close()
 }

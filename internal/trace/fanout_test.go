@@ -54,10 +54,10 @@ func sameRefs(t *testing.T, label string, got, want []Ref) {
 
 func TestFanOutDeliversEveryRefInOrder(t *testing.T) {
 	want := synthRefs(10_000)
-	for _, chunk := range []int{1, 3, 1000, 0 /* default */} {
+	for _, chunk := range []int{1, 3, 1000, fanOutChunkRefs} {
 		plain := &recordSink{}
 		batch := &batchRecordSink{}
-		f := NewFanOut(FanOutConfig{ChunkRefs: chunk}, plain, batch)
+		f := newFanOut(chunk, plain, batch)
 		for _, r := range want {
 			f.Add(r)
 		}
@@ -73,7 +73,7 @@ func TestFanOutDeliversEveryRefInOrder(t *testing.T) {
 func TestFanOutAddBatchMixedWithAdd(t *testing.T) {
 	want := synthRefs(5000)
 	sink := &recordSink{}
-	f := NewFanOut(FanOutConfig{ChunkRefs: 64}, sink)
+	f := newFanOut(64, sink)
 	// Interleave singles and batches of every size class: smaller than a
 	// chunk, exact multiple, and larger with a partial chunk pending.
 	i := 0
@@ -90,14 +90,14 @@ func TestFanOutAddBatchMixedWithAdd(t *testing.T) {
 
 func TestFanOutCloseIsIdempotentAndEmptyOK(t *testing.T) {
 	sink := &recordSink{}
-	f := NewFanOut(FanOutConfig{}, sink)
+	f := NewFanOut(sink)
 	f.Close()
 	f.Close()
 	if len(sink.refs) != 0 {
 		t.Fatalf("empty fan-out delivered %d refs", len(sink.refs))
 	}
 	// No sinks at all is valid too.
-	f2 := NewFanOut(FanOutConfig{})
+	f2 := NewFanOut()
 	f2.Add(Ref{})
 	f2.Close()
 	// A FanOut is dead after Close: Add must fail fast.

@@ -198,41 +198,6 @@ func TestAreaStrings(t *testing.T) {
 	}
 }
 
-func TestStreamWriterRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Ref{
-		{Addr: 1, PE: 0, Op: OpRead, Obj: ObjHeap},
-		{Addr: 2, PE: 3, Op: OpWrite, Obj: ObjTrail},
-		{Addr: 99, PE: 7, Op: OpRead, Obj: ObjGoalFrame},
-	}
-	for _, r := range want {
-		sw.Add(r)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if sw.Count() != 3 {
-		t.Errorf("count = %d", sw.Count())
-	}
-	var got []Ref
-	n, err := ReadStream(&buf, sinkFunc(func(r Ref) { got = append(got, r) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || len(got) != 3 {
-		t.Fatalf("read %d refs", n)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("ref %d: %v != %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestReadStreamAcceptsBufferFiles(t *testing.T) {
 	b := Buffer{Refs: []Ref{{Addr: 5, Obj: ObjHeap}, {Addr: 6, Obj: ObjPDL, Op: OpWrite}}}
 	var buf bytes.Buffer

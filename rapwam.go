@@ -138,7 +138,7 @@ type RunConfig struct {
 	// Sink, when non-nil, receives every memory reference as it is
 	// generated — a streaming alternative to CaptureTrace that never
 	// buffers the trace (attach a cache simulator from NewCacheSim, a
-	// trace.StreamWriter, or any fan-out of sinks). Sink and
+	// trace.Counter, or any fan-out of sinks). Sink and
 	// CaptureTrace compose: with both set the trace is buffered and
 	// streamed.
 	Sink Sink

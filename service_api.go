@@ -90,9 +90,8 @@ type Service struct {
 
 // NewService opens the result cache (and trace store, when configured)
 // and builds the service. Use Handler to mount it, or Serve to run a
-// complete daemon. The experiments grid underneath is process-global,
-// so build one live service per process (sequential construction over
-// the same directories — the restart pattern — is fine).
+// complete daemon. Each service owns its own experiments grid, so any
+// number can run in one process.
 func NewService(cfg ServeConfig) (*Service, error) {
 	scfg := service.Config{
 		ResultDir:      cfg.ResultDir,
