@@ -9,10 +9,10 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-# Per-target budget for `make fuzz` (three targets run back to back).
+# Per-target budget for `make fuzz` (four targets run back to back).
 FUZZTIME ?= 30s
 
-.PHONY: all check build test race lint audit fuzz cover fmt vet docs
+.PHONY: all check build test race lint audit fuzz cover fmt vet docs cross
 
 all: build test
 
@@ -43,19 +43,27 @@ audit:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-# fuzz exercises the three hostile-input surfaces: the compact trace
-# decoder, the fault-spec parser and the Prolog parser. Seeds live in
-# each fuzz function and its package's testdata/fuzz corpus; new
-# findings land there too.
+# fuzz exercises the hostile-input surfaces: the compact trace
+# decoder, the fault-spec parser, the Prolog parser and the compiler.
+# Seeds live in each fuzz function and its package's testdata/fuzz
+# corpus; new findings land there too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChunkReader -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaults -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/parse/
+	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./internal/compile/
 
 # race covers every concurrent subsystem: the fan-out replay pipeline,
 # the grid worker pool, the stores, and the service's single-flight.
 race:
 	$(GO) test -race ./internal/core/ ./internal/mem/ ./internal/trace/ ./internal/cache/ ./internal/experiments/ ./internal/tracestore/ ./internal/bench/ ./internal/service/ ./internal/storage/
+
+# cross builds every package for two systems other than the host's: the
+# emulator maps its address space with mmap on unix and falls back to
+# the Go heap elsewhere, and both variants must keep compiling.
+cross:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 
 # cover collects statement coverage across internal packages and
 # enforces the storage+service floor (scripts/check_coverage.sh).

@@ -199,6 +199,9 @@ func Run(ctx context.Context, b Benchmark, cfg RunConfig) (*core.Result, error) 
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: %w", b.Name, err)
 	}
+	// The result is self-contained (bindings are rendered strings), so
+	// the address space is unmapped on every return, failed runs too.
+	defer eng.Close()
 	res, err := eng.Run()
 	if err != nil {
 		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
@@ -206,10 +209,6 @@ func Run(ctx context.Context, b Benchmark, cfg RunConfig) (*core.Result, error) 
 		}
 		return nil, fmt.Errorf("bench %s: %w", b.Name, err)
 	}
-	// The result is self-contained (bindings are rendered strings), so
-	// the engine's memory slab can go back to the pool: the next run of
-	// the same shape skips the O(address space) zeroing.
-	eng.Close()
 	if b.Check != nil {
 		if err := b.Check(res); err != nil {
 			return nil, fmt.Errorf("bench %s: wrong answer: %w", b.Name, err)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
@@ -56,6 +57,61 @@ func TestRunCancelsMidRun(t *testing.T) {
 		if sink.seen > sink.n+64*4096 {
 			t.Fatalf("PEs=%d: %d refs emitted after cancellation at %d — abort not prompt", pes, sink.seen-sink.n, sink.n)
 		}
+	}
+}
+
+// mappedDuring is a trace sink that records the mapped address-space
+// size seen while the engine runs, then forwards to next.
+type mappedDuring struct {
+	next   trace.Sink
+	mapped int64
+}
+
+func (m *mappedDuring) Add(r trace.Ref) {
+	if m.mapped == 0 {
+		m.mapped = mem.MappedBytes()
+	}
+	m.next.Add(r)
+}
+
+// TestFailedRunsUnmapTheirSpace pins that Run unmaps the engine's
+// address space on its error paths too: a run cancelled mid-way and a
+// run that overflows its heap both leave mem.MappedBytes where it was.
+func TestFailedRunsUnmapTheirSpace(t *testing.T) {
+	nrev800, ok := ByName("nrev-800")
+	if !ok {
+		t.Fatal("ByName(nrev-800) failed")
+	}
+	for _, tc := range []struct {
+		name string
+		b    Benchmark
+		pes  int
+		stop bool // cancel the context mid-run
+		want string
+	}{
+		{"cancelled", Qsort(), 4, true, context.Canceled.Error()},
+		{"heap-overflow", nrev800, 1, false, "heap overflow"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var next trace.Sink = trace.Discard
+			if tc.stop {
+				next = &cancelAfter{n: 5000, cancel: cancel}
+			}
+			sink := &mappedDuring{next: next}
+			before := mem.MappedBytes()
+			_, err := Run(ctx, tc.b, RunConfig{PEs: tc.pes, Sink: sink})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+			if sink.mapped <= before {
+				t.Fatalf("engine ran with %d mapped bytes, want more than the %d before it", sink.mapped, before)
+			}
+			if got := mem.MappedBytes(); got != before {
+				t.Fatalf("%d bytes still mapped after the failed run, want %d", got, before)
+			}
+		})
 	}
 }
 

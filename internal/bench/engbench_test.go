@@ -55,11 +55,11 @@ func runEngine(b *testing.B, code *isa.Code, pes int, sink trace.Sink, refs, inf
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer eng.Close()
 	res, err := eng.Run()
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng.Close()
 	if !res.Success {
 		b.Fatal("query failed")
 	}

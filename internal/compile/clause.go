@@ -135,11 +135,11 @@ func (cc *clauseCtx) normalize(body parse.Term) error {
 		var conds []parse.Term
 		parTerm := t
 		if c, ok := t.(*parse.Compound); ok && c.Functor == "|" && c.Arity() == 2 {
-			conds = flattenOp(c.Args[0], ",")
+			conds = flattenOp(nil, c.Args[0], ",")
 			parTerm = c.Args[1]
 		}
 		if c, ok := parTerm.(*parse.Compound); ok && c.Functor == "&" && c.Arity() == 2 {
-			armTerms := flattenOp(parTerm, "&")
+			armTerms := flattenOp(nil, parTerm, "&")
 			if cc.e.opt.Sequential {
 				// WAM baseline: plain conjunction, conditions dropped
 				// (they only guard parallelism).
@@ -233,11 +233,19 @@ func validateCond(c parse.Term) error {
 	return fmt.Errorf("CGE condition must be ground/1, indep/2 or true, got %v", c)
 }
 
-func flattenOp(t parse.Term, op string) []parse.Term {
-	if c, ok := t.(*parse.Compound); ok && c.Functor == op && c.Arity() == 2 {
-		return append(flattenOp(c.Args[0], op), flattenOp(c.Args[1], op)...)
+// flattenOp appends to out the operands of a chain of the binary
+// operator op, left to right. It appends in place and loops down the
+// right operand (the parser nests xfy chains such as a & b & c to the
+// right), so a chain of n goals costs O(n) time and stack.
+func flattenOp(out []parse.Term, t parse.Term, op string) []parse.Term {
+	for {
+		c, ok := t.(*parse.Compound)
+		if !ok || c.Functor != op || c.Arity() != 2 {
+			return append(out, t)
+		}
+		out = flattenOp(out, c.Args[0], op)
+		t = c.Args[1]
 	}
-	return []parse.Term{t}
 }
 
 // analyze performs variable classification and register/slot assignment.

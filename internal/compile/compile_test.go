@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/parse"
 )
 
 func mustCompile(t *testing.T, program, query string, opt Options) *isa.Code {
@@ -267,6 +268,23 @@ func TestLongListLiteralCompiles(t *testing.T) {
 	code := mustCompile(t, sb.String(), "p(X)", Options{})
 	if len(code.Instrs) == 0 {
 		t.Fatal("no code")
+	}
+}
+
+// TestFlattenOpKeepsOperandOrder pins flattenOp on mixed left and
+// right nesting; it loops down right operands, so the order of the
+// recursive and iterative halves must interleave correctly.
+func TestFlattenOpKeepsOperandOrder(t *testing.T) {
+	term, err := parse.OneTerm("((a & b) & (c & d)) & e & (f, g)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, op := range flattenOp(nil, term, "&") {
+		got = append(got, op.String())
+	}
+	if want := "a b c d e f,g"; strings.Join(got, " ") != want {
+		t.Errorf("flattenOp = %q, want %q", strings.Join(got, " "), want)
 	}
 }
 

@@ -229,11 +229,12 @@ func New(code *isa.Code, cfg Config) (*Engine, error) {
 // Memory exposes the engine's shared memory (tests, answer extraction).
 func (e *Engine) Memory() *mem.Memory { return e.mem }
 
-// Close releases the engine's memory slab to the shared pool (see
-// mem.Memory.Release). Callers that construct engines in bulk — trace
-// generation above all — avoid re-zeroing a whole address space per
-// run this way. The engine must not be used after Close; calling Close
-// more than once is harmless.
+// Close unmaps the engine's address space (see mem.Memory.Release). The
+// space is mapped from the OS, not the Go heap, so an engine that is
+// never closed holds its touched pages until the process exits: every
+// caller closes it on every path, failed runs included. The engine
+// must not be used after Close; calling Close more than once is
+// harmless.
 func (e *Engine) Close() { e.mem.Release() }
 
 // Run executes the query to the first solution (or failure).

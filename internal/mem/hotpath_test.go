@@ -1,12 +1,12 @@
 package mem
 
 // Tests for the staged reference path, the O(1) classification table
-// and the slab pool — the memory-side half of the emulator hot-path
-// rework. The invariants here are what the golden trace-parity suite
-// (internal/bench) relies on: staging preserves emission order
+// and the mapped address space — the memory-side half of the emulator
+// hot-path rework. The invariants here are what the golden trace-parity
+// suite (internal/bench) relies on: staging preserves emission order
 // exactly, classification is bit-equal to the arithmetic definition,
-// and a released slab really is all-zero before it is handed to the
-// next engine.
+// every new address space reads all-zero whatever ran before it, and
+// Release gives the whole mapping back.
 
 import (
 	"testing"
@@ -23,6 +23,7 @@ var refLayout = Layout{Workers: 3, Heap: 512, Local: 256, Control: 256, Trail: 1
 func TestStagingPreservesOrder(t *testing.T) {
 	buf := trace.NewBuffer(0)
 	m := NewMemory(refLayout, buf)
+	defer m.Release()
 	var want []trace.Ref
 	rng := uint64(12345)
 	n := stageRefs*2 + 1234 // cross several flush boundaries
@@ -58,6 +59,7 @@ func TestStagingPreservesOrder(t *testing.T) {
 func TestCounterMatchesPerRefTally(t *testing.T) {
 	buf := trace.NewBuffer(0)
 	m := NewMemory(refLayout, buf)
+	defer m.Release()
 	objs := []trace.ObjType{trace.ObjHeap, trace.ObjEnvPVar, trace.ObjTrail, trace.ObjGoalFrame, trace.ObjMessage}
 	rng := uint64(99)
 	for i := 0; i < 3*stageRefs/2; i++ {
@@ -88,6 +90,7 @@ func TestCounterMatchesPerRefTally(t *testing.T) {
 // (div/mod over the span plus a linear area scan).
 func TestClassifyMatchesArithmetic(t *testing.T) {
 	m := NewMemory(refLayout, nil)
+	defer m.Release()
 	span := m.Layout().SpanWords()
 	sizes := []struct {
 		area trace.Area
@@ -125,12 +128,16 @@ func TestClassifyMatchesArithmetic(t *testing.T) {
 	}
 }
 
-// TestReleaseRestoresZeroSlab dirties memory through every write path
-// (traced writes, Pokes, cross-PE writes), releases, and verifies the
-// recycled slab is indistinguishable from a fresh allocation: the next
-// NewMemory of the same size must hand out all-zero words.
-func TestReleaseRestoresZeroSlab(t *testing.T) {
+// TestNewMemoryIsZeroAfterRelease dirties memory through every write
+// path (traced writes, Pokes, cross-PE writes) and releases it; the next
+// NewMemory of the same layout must read all-zero words, and every
+// mapped byte must be given back at each Release.
+func TestNewMemoryIsZeroAfterRelease(t *testing.T) {
+	before := MappedBytes()
 	m := NewMemory(refLayout, nil)
+	if got, want := MappedBytes()-before, int64((stageWords+m.Size())*wordBytes); got != want {
+		t.Fatalf("NewMemory mapped %d bytes, want %d", got, want)
+	}
 	rng := uint64(7)
 	for i := 0; i < 4*stageRefs+99; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
@@ -140,30 +147,47 @@ func TestReleaseRestoresZeroSlab(t *testing.T) {
 		addr := reg.Base + int(rng>>45)%reg.Size()
 		m.Write((pe+1)%refLayout.Workers, addr, MakeInt(-1), trace.ObjHeap) // cross-PE attribution
 	}
-	m.Poke(m.Size()-1, MakeInt(42)) // untraced writes must be tracked too
+	m.Poke(0, MakeInt(42))
+	m.Poke(m.Size()-1, MakeInt(42))
 	m.Release()
+	if got := MappedBytes(); got != before {
+		t.Fatalf("MappedBytes after Release = %d, want %d", got, before)
+	}
 
 	m2 := NewMemory(refLayout, nil)
 	for addr := 0; addr < m2.Size(); addr++ {
 		if w := m2.Peek(addr); w != 0 {
-			t.Fatalf("recycled slab not zero at %d: %v", addr, w)
+			t.Fatalf("new address space not zero at %d: %v", addr, w)
 		}
 	}
 	m2.Release()
+	if got := MappedBytes(); got != before {
+		t.Fatalf("MappedBytes after second Release = %d, want %d", got, before)
+	}
 }
 
 // TestReleaseIsTerminal checks a released Memory cannot silently keep
-// operating on the recycled slab.
+// operating on its unmapped space: the access is a Go panic, which
+// recover sees, not a fault that kills the process.
 func TestReleaseIsTerminal(t *testing.T) {
 	m := NewMemory(refLayout, nil)
 	m.Release()
 	m.Release() // idempotent
-	defer func() {
-		if recover() == nil {
-			t.Error("Write after Release did not panic")
-		}
-	}()
-	m.Write(0, 0, MakeInt(1), trace.ObjHeap)
+	for name, access := range map[string]func(){
+		"Write": func() { m.Write(0, 0, MakeInt(1), trace.ObjHeap) },
+		"Read":  func() { m.Read(0, 0, trace.ObjHeap) },
+		"Peek":  func() { m.Peek(0) },
+		"Poke":  func() { m.Poke(0, MakeInt(1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Release did not panic", name)
+				}
+			}()
+			access()
+		}()
+	}
 }
 
 // TestNewMemoryRejectsTooManyWorkers pins the trace.MaxPEs bound.
@@ -181,6 +205,7 @@ func TestNewMemoryRejectsTooManyWorkers(t *testing.T) {
 // and pins it at zero allocations per operation.
 func BenchmarkMemoryRefPath(b *testing.B) {
 	m := NewMemory(refLayout, trace.Discard)
+	defer m.Release()
 	heap := m.Region(0, trace.AreaHeap)
 	b.ReportAllocs()
 	b.ResetTimer()

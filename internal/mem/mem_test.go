@@ -60,6 +60,7 @@ func TestIntRoundTripProperty(t *testing.T) {
 func TestLayoutRegionsDisjointAndAligned(t *testing.T) {
 	l := Layout{Workers: 3, Heap: 1000, Local: 500, Control: 300, Trail: 100, PDL: 50, Goal: 60, Msg: 10}
 	m := NewMemory(l, nil)
+	defer m.Release()
 	areas := []trace.Area{
 		trace.AreaHeap, trace.AreaLocal, trace.AreaControl,
 		trace.AreaTrail, trace.AreaPDL, trace.AreaGoal, trace.AreaMsg,
@@ -89,6 +90,7 @@ func TestLayoutRegionsDisjointAndAligned(t *testing.T) {
 
 func TestClassifyInvertsRegion(t *testing.T) {
 	m := NewMemory(Layout{Workers: 4, Heap: 256, Local: 128, Control: 128, Trail: 64, PDL: 64, Goal: 64, Msg: 64}, nil)
+	defer m.Release()
 	areas := []trace.Area{
 		trace.AreaHeap, trace.AreaLocal, trace.AreaControl,
 		trace.AreaTrail, trace.AreaPDL, trace.AreaGoal, trace.AreaMsg,
@@ -115,6 +117,7 @@ func TestClassifyInvertsRegion(t *testing.T) {
 func TestReadWriteEmitRefs(t *testing.T) {
 	buf := trace.NewBuffer(16)
 	m := NewMemory(Layout{Workers: 2, Heap: 128, Local: 64, Control: 64, Trail: 64, PDL: 64, Goal: 64, Msg: 64}, buf)
+	defer m.Release()
 	heap := m.Region(1, trace.AreaHeap)
 	m.Write(1, heap.Base, MakeInt(5), trace.ObjHeap)
 	got := m.Read(0, heap.Base, trace.ObjHeap) // cross-PE read attributed to reader
@@ -139,6 +142,7 @@ func TestReadWriteEmitRefs(t *testing.T) {
 
 func TestPeekPokeAreUntraced(t *testing.T) {
 	m := NewMemory(Layout{Workers: 1, Heap: 64, Local: 64, Control: 64, Trail: 64, PDL: 64, Goal: 64, Msg: 64}, nil)
+	defer m.Release()
 	m.Poke(3, MakeInt(9))
 	if m.Peek(3).Int() != 9 {
 		t.Error("peek/poke failed")

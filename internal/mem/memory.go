@@ -2,8 +2,9 @@ package mem
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -90,15 +91,17 @@ func (r Region) Size() int { return r.Limit - r.Base }
 // cold-generation benchmark.
 const stageRefs = 65536
 
+// wordBytes is the size of a Word; stageWords is the staging buffer's
+// size in words (it heads the address-space mapping).
+const (
+	wordBytes  = int(unsafe.Sizeof(Word(0)))
+	stageWords = stageRefs * int(unsafe.Sizeof(Ref{})) / wordBytes
+)
+
 // alignShift is log2(Align); every Align-word block lies entirely
 // inside one (worker, area) region, which is what makes the
 // block-granular classification table exact.
 const alignShift = 6
-
-// dirtyShift is log2 of the dirty-tracking block size in words (4096
-// words = one 32 KiB zeroing unit). Coarser than classification blocks
-// on purpose: the bitmap stays tiny and Release zeroes long runs.
-const dirtyShift = 12
 
 // Memory is the instrumented flat shared address space. All engine
 // accesses go through Read/Write (traced) or Peek/Poke (untraced
@@ -118,6 +121,10 @@ const dirtyShift = 12
 // store's byte-identity contract. Flush runs automatically when the
 // buffer fills; anything that hands the stream downstream (end of run,
 // SetSink, Release) flushes first.
+//
+// The staging buffer and the words share one OS mapping (mapWords)
+// whose pages the kernel zero-fills on first touch: a run costs only
+// the pages it writes, and nothing large lives on the Go heap.
 type Memory struct {
 	// stage is the pending-reference staging buffer (a fixed-size
 	// array; nStage is the fill level). A fixed array plus index
@@ -142,19 +149,11 @@ type Memory struct {
 	// constructed constantly during parallel trace generation).
 	classTab []uint16
 
-	// dirty marks dirtyShift-sized blocks that received at least one
-	// word since the slab was (re)zeroed; Release zeroes exactly these,
-	// making engine teardown O(touched memory) instead of O(address
-	// space). Write-marking is folded into Flush's batch loop; Poke
-	// marks directly.
-	dirty []uint64
-
 	layout Layout
 	// region offsets within a worker span, indexed by area
 	areaOff  [trace.NumAreas]int
 	areaSize [trace.NumAreas]int
 	span     int
-	released bool
 }
 
 // Ref is re-exported locally to keep the hot-path append monomorphic.
@@ -163,35 +162,18 @@ type Ref = trace.Ref
 // classTabs caches the classification table per (normalized) layout.
 var classTabs sync.Map // Layout -> []uint16
 
-// slabPools recycles zeroed word slabs by total size. Release returns a
-// slab fully re-zeroed, so NewMemory can hand it out again without the
-// O(address space) clear that otherwise dominates engine construction
-// for short benchmark runs.
-var slabPools sync.Map // int -> *sync.Pool
+var mappedBytes atomic.Int64
 
-func getSlab(n int) []Word {
-	if p, ok := slabPools.Load(n); ok {
-		if s := p.(*sync.Pool).Get(); s != nil {
-			return s.([]Word)
-		}
-	}
-	return make([]Word, n)
-}
+// MappedBytes returns the bytes mapped by NewMemory and not yet
+// released. A Memory dropped without Release stays mapped until the
+// process exits; tests use this to check every engine is closed.
+func MappedBytes() int64 { return mappedBytes.Load() }
 
-func putSlab(words []Word) {
-	p, ok := slabPools.Load(len(words))
-	if !ok {
-		p, _ = slabPools.LoadOrStore(len(words), &sync.Pool{})
-	}
-	p.(*sync.Pool).Put(words)
-}
-
-// NewMemory allocates the address space for the given layout, reusing a
-// recycled slab from a previous Release when one is available. The
-// counter is always attached (cheap array increments); sink may be
+// NewMemory maps a fresh, all-zero address space for the given layout.
+// The counter is always attached (cheap array increments); sink may be
 // trace.Discard. Layouts are limited to trace.MaxPEs workers — the
 // counter, the trace tooling and the cache simulators all size their
-// per-PE state to that bound.
+// per-PE state to that bound. The caller must Release the Memory.
 func NewMemory(l Layout, sink trace.Sink) *Memory {
 	if l.Workers <= 0 {
 		panic("mem: layout needs at least one worker")
@@ -200,16 +182,16 @@ func NewMemory(l Layout, sink trace.Sink) *Memory {
 		panic(fmt.Sprintf("mem: layout has %d workers, limit %d", l.Workers, trace.MaxPEs))
 	}
 	n := l.normalized()
-	total := n.TotalWords()
+	space := mapWords(stageWords + n.TotalWords())
+	mappedBytes.Add(int64(len(space) * wordBytes))
 	m := &Memory{
-		stage:   new([stageRefs]Ref),
-		words:   getSlab(total),
+		stage:   (*[stageRefs]Ref)(unsafe.Pointer(&space[0])),
+		words:   space[stageWords:],
 		tally:   make([]int64, trace.NumObjTypes*2*trace.MaxPEs),
 		layout:  n,
 		span:    n.SpanWords(),
 		sink:    sink,
 		counter: &trace.Counter{},
-		dirty:   make([]uint64, (total>>dirtyShift+63)/64+1),
 	}
 	if m.sink == nil {
 		m.sink = trace.Discard
@@ -346,27 +328,20 @@ func (m *Memory) Write(pe int, addr int, w Word, obj trace.ObjType) {
 	m.words[addr] = w
 }
 
-// Flush drains the staging buffer: counter tallies and dirty-block
-// marks are folded into one flat pass, then the batch is handed to the
-// sink (one AddBatch call when the sink supports batches) and the
-// buffer is reset for reuse. Flush is idempotent and cheap when the
-// buffer is empty.
+// Flush drains the staging buffer: counter tallies are folded in one
+// flat pass, then the batch is handed to the sink (one AddBatch call
+// when the sink supports batches) and the buffer is reset for reuse.
+// Flush is idempotent and cheap when the buffer is empty.
 func (m *Memory) Flush() {
 	refs := m.stage[:m.nStage]
 	if len(refs) == 0 {
 		return
 	}
 	tally := m.tally
-	dirty := m.dirty
 	for _, r := range refs {
 		// One read-modify-write tallies (obj, op, PE) at once; the
 		// public counter shape is unfolded lazily in Counter().
 		tally[(uint(r.Obj)<<1|uint(r.Op))<<6|uint(r.PE)&(trace.MaxPEs-1)]++
-		// Branchless dirty mark: reads OR in a zero bit (OpRead is 0),
-		// writes set their block's bit — no data-dependent branch on
-		// the op, which alternates too unpredictably to forecast.
-		block := uint(r.Addr) >> dirtyShift
-		dirty[block>>6] |= uint64(r.Op) << (block & 63)
 	}
 	if m.batch != nil {
 		m.batch.AddBatch(refs)
@@ -383,44 +358,23 @@ func (m *Memory) Flush() {
 func (m *Memory) Peek(addr int) Word { return m.words[addr] }
 
 // Poke writes addr without instrumentation. Host-side use only.
-func (m *Memory) Poke(addr int, w Word) {
-	block := uint(addr) >> dirtyShift
-	m.dirty[block>>6] |= 1 << (block & 63)
-	m.words[addr] = w
-}
+func (m *Memory) Poke(addr int, w Word) { m.words[addr] = w }
 
 // Size returns the total address-space size in words.
 func (m *Memory) Size() int { return len(m.words) }
 
-// Release flushes the staging buffer, re-zeroes every dirty block and
-// returns the slab to the shared pool for the next NewMemory of the
-// same total size. Only touched blocks are cleared — O(touched words)
-// — restoring the all-zero invariant recycled slabs rely on
-// (TestReleaseRestoresZeroSlab scans for violations). The Memory must
-// not be used after Release.
+// Release flushes the staging buffer and unmaps the address space.
+// The Memory must not be used after Release: any access panics.
+// Calling Release more than once is harmless.
 func (m *Memory) Release() {
-	if m.released {
+	if m.stage == nil {
 		return
 	}
 	m.Flush()
-	m.released = true
-	words := m.words
-	m.words = nil // poison: any later access panics rather than corrupting the pool
-	for wi, dbits := range m.dirty {
-		for dbits != 0 {
-			block := wi<<6 + bits.TrailingZeros64(dbits)
-			dbits &= dbits - 1
-			lo := block << dirtyShift
-			if lo >= len(words) {
-				continue
-			}
-			hi := lo + 1<<dirtyShift
-			if hi > len(words) {
-				hi = len(words)
-			}
-			clear(words[lo:hi])
-		}
-		m.dirty[wi] = 0
-	}
-	putSlab(words)
+	space := unsafe.Slice((*Word)(unsafe.Pointer(m.stage)), stageWords+len(m.words))
+	// Poison before unmapping, so a later access is a nil dereference
+	// (a Go panic) rather than a fault on an unmapped page.
+	m.words, m.stage = nil, nil
+	mappedBytes.Add(-int64(len(space) * wordBytes))
+	unmapWords(space)
 }

@@ -128,6 +128,12 @@ func floatParam(q url.Values, name string, def float64) (float64, error) {
 // counts).
 const maxListLen = trace.MaxPEs
 
+// maxFig4Cells caps len(pes) × len(sizes) in one fig4 request: each
+// (PE count, size) pair is simulated under every protocol, so two lists
+// that each pass maxListLen could still ask for 64 × 64 × 3 cache runs.
+// The cap is far above the default 4 × 8.
+const maxFig4Cells = 128
+
 // intListParam parses q[name] as a comma-separated ascending-sorted
 // deduplicated integer list in [lo, hi] of at most maxListLen values,
 // defaulting when absent.
@@ -361,6 +367,10 @@ var registry = []*Experiment{
 			sizes, err := intListParam(q, "sizes", []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}, 1, 1<<22)
 			if err != nil {
 				return nil, nil, err
+			}
+			if n := len(pes) * len(sizes); n > maxFig4Cells {
+				return nil, nil, fmt.Errorf("parameters pes and sizes: %d × %d = %d (PE count, size) pairs, more than %d",
+					len(pes), len(sizes), n, maxFig4Cells)
 			}
 			ps := []param{{"pes", ints(pes)}, {"sizes", ints(sizes)}}
 			return ps, func(ctx context.Context, r *experiments.Runner) (any, error) {

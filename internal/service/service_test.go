@@ -243,6 +243,8 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/experiments/fig4?sizes=" + strings.Repeat("64,", maxListLen) + "64", http.StatusBadRequest},
 		{"/v1/experiments/fig4?pes=" + strings.Repeat("1,", maxListLen) + "1", http.StatusBadRequest},
 		{"/v1/experiments/fig2?pes=" + strings.Repeat("2,", maxListLen) + "2", http.StatusBadRequest},
+		{"/v1/experiments/fig4?pes=" + intList(1, 17) + "&sizes=" + intList(1, 8), http.StatusBadRequest},
+		{"/v1/experiments/fig4?pes=" + intList(1, maxListLen) + "&sizes=" + intList(1, maxListLen), http.StatusBadRequest},
 		{"/v1/experiments/table1?format=xml", http.StatusBadRequest},
 		{"/v1/experiments/bus?desbench=nope", http.StatusBadRequest},
 		{"/v1/experiments/mlips?target=-1", http.StatusBadRequest},
@@ -266,9 +268,19 @@ func TestBadRequests(t *testing.T) {
 	if !strings.Contains(w.Body.String(), "parameter sizes: more than") {
 		t.Errorf("over-long sizes list: error body %q does not name sizes", w.Body.String())
 	}
-	q := url.Values{"pes": {intList(1, maxListLen)}, "sizes": {intList(1, maxListLen)}}
+	q := url.Values{"pes": {intList(1, maxListLen)}, "sizes": {intList(1, 2)}}
 	if _, _, err := registryMust(t, "fig4").prepare(q); err != nil {
-		t.Errorf("fig4 with %d pes and sizes: %v", maxListLen, err)
+		t.Errorf("fig4 with %d pes and 2 sizes: %v", maxListLen, err)
+	}
+	// The fig4 cost cap: len(pes) × len(sizes) up to maxFig4Cells is
+	// accepted, one more pair is a 400 naming both parameters.
+	q = url.Values{"pes": {intList(1, 16)}, "sizes": {intList(1, 8)}}
+	if _, _, err := registryMust(t, "fig4").prepare(q); err != nil {
+		t.Errorf("fig4 with 16 pes × 8 sizes (= %d): %v", maxFig4Cells, err)
+	}
+	w = get(t, h, "/v1/experiments/fig4?pes="+intList(1, 17)+"&sizes="+intList(1, 8))
+	if body := w.Body.String(); !strings.Contains(body, "pes and sizes") || !strings.Contains(body, "136") {
+		t.Errorf("fig4 with 17 pes × 8 sizes: error body %q does not name both parameters and the count", body)
 	}
 }
 

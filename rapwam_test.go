@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/mem"
 )
 
 func TestQuickStart(t *testing.T) {
@@ -36,6 +38,30 @@ func TestCompileErrorsSurface(t *testing.T) {
 	}
 	if _, err := Compile("p.", "q"); err == nil {
 		t.Error("undefined query goal not reported")
+	}
+}
+
+// TestRunUnmapsOnFailure pins that Program.Run unmaps the engine's
+// address space when the run fails: a runaway loop stopped by
+// MaxCycles and a heap overflow both leave mem.MappedBytes unchanged.
+func TestRunUnmapsOnFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, query, want string
+		cfg                    RunConfig
+	}{
+		{"runaway", "loop :- loop.", "loop", "exceeded 10000 cycles", RunConfig{MaxCycles: 10000}},
+		{"heap-overflow", "grow(L) :- grow([x|L]).", "grow([])", "heap overflow", RunConfig{HeapWords: 4096}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := mem.MappedBytes()
+			_, err := MustCompile(tc.src, tc.query).Run(tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run error = %v, want one containing %q", err, tc.want)
+			}
+			if got := mem.MappedBytes(); got != before {
+				t.Fatalf("%d bytes still mapped after the failed run, want %d", got, before)
+			}
+		})
 	}
 }
 
